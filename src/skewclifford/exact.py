@@ -1,12 +1,13 @@
-"""Exact rational scalars, parameter polynomials, and dense exact linear algebra."""
+"""Exact rational scalars, parameter polynomials, dense exact linear algebra and a sparse echelon kernel."""
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import re
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Dict, Iterable, Mapping, Optional, Sequence
 
 Scalar = Fraction
 
@@ -285,6 +286,100 @@ def rref(rows: Sequence[Sequence[Fraction]]):
     return work, pivots
 
 
+def _sparse(vec) -> Dict:
+    """Nonzero entries of a dense sequence or a column -> value mapping."""
+    items = vec.items() if isinstance(vec, Mapping) else enumerate(vec)
+    return {col: Fraction(v) for col, v in items if v}
+
+
+class Echelon:
+    """Sparse incremental row echelon form over the rationals.
+
+    Rows are dicts column -> Fraction, keyed by their lowest (pivot) column,
+    with the pivot entry scaled to 1.  Columns are any mutually comparable
+    keys: dense positions, or the words of one homogeneous degree.  A row
+    added with a tag also records itself as a combination of the tagged
+    inputs, so `solve` can answer in those terms; span-only callers add
+    untagged rows and skip that bookkeeping.
+    """
+
+    __slots__ = ("rows", "_combos")
+
+    def __init__(self):
+        self.rows: Dict = {}
+        self._combos: Dict = {}
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def _eliminate(self, vec: Dict, combo: Optional[Dict]) -> Dict:
+        """Cancel every pivot column of vec, lowest first, in place.
+
+        When combo is given it accumulates, per tag, the multiple of the
+        tagged inputs that was subtracted from vec.
+        """
+        rows = self.rows
+        heap = [c for c in vec if c in rows]
+        heapq.heapify(heap)
+        while heap:
+            p = heapq.heappop(heap)
+            f = vec.get(p)
+            if not f:
+                continue  # cancelled since it was queued
+            for col, v in rows[p].items():
+                old = vec.get(col)
+                new = -f * v if old is None else old - f * v
+                if new:
+                    if old is None and col in rows:
+                        heapq.heappush(heap, col)
+                    vec[col] = new
+                else:
+                    del vec[col]
+            if combo is not None:
+                row_combo = self._combos.get(p)
+                if row_combo is None:
+                    raise ValueError("echelon row was added without a tag; it has no combination to report")
+                for tag, v in row_combo.items():
+                    new = combo.get(tag, 0) + f * v
+                    if new:
+                        combo[tag] = new
+                    else:
+                        combo.pop(tag, None)
+        return vec
+
+    def reduce(self, vec) -> Dict:
+        """The residual of vec modulo the rows, as a sparse dict (empty iff vec is in the span)."""
+        return self._eliminate(_sparse(vec), None)
+
+    def add(self, vec, tag=None) -> bool:
+        """Append vec when it is independent of the rows; returns whether it was."""
+        combo = None if tag is None else {}
+        vec = self._eliminate(_sparse(vec), combo)
+        if not vec:
+            return False
+        pivot = min(vec)
+        inv = 1 / vec[pivot]
+        self.rows[pivot] = {col: v * inv for col, v in vec.items()}
+        if tag is not None:
+            # the reduced vec is input[tag] less the combination in combo; the row is inv times it
+            row_combo = {t: -v * inv for t, v in combo.items()}
+            row_combo[tag] = row_combo.get(tag, 0) + inv
+            self._combos[pivot] = {t: v for t, v in row_combo.items() if v}
+        return True
+
+    def solve(self, vec, size: int):
+        """Coefficients, per tag 0..size-1, of vec as a combination of the tagged inputs.
+
+        Returns None when vec is not in the span.  Inputs that `add`
+        rejected get coefficient zero, so the answer is the one with
+        first-pivot preference and depends only on the inputs' order.
+        """
+        combo: Dict = {}
+        if self._eliminate(_sparse(vec), combo):
+            return None
+        return tuple(Fraction(combo.get(t, 0)) for t in range(size))
+
+
 def solve_in_span(target: Sequence[Fraction], basis: Sequence[Sequence[Fraction]]):
     """Express target as an exact combination of the basis vectors.
 
@@ -292,20 +387,12 @@ def solve_in_span(target: Sequence[Fraction], basis: Sequence[Sequence[Fraction]
     span.  Free coefficients are set to zero (first-pivot preference), so
     the answer is deterministic.
     """
-    target = [Fraction(t) for t in target]
-    if not basis:
-        return () if not any(target) else None
     if any(len(b) != len(target) for b in basis):
         raise ValueError("basis vectors and target must have equal length")
-    ncols = len(basis)
-    aug = [[Fraction(basis[j][i]) for j in range(ncols)] + [target[i]] for i in range(len(target))]
-    reduced, pivots = rref(aug)
-    if ncols in pivots:
-        return None
-    coeffs = [Fraction(0)] * ncols
-    for r, c in enumerate(pivots):
-        coeffs[c] = reduced[r][ncols]
-    return tuple(coeffs)
+    ech = Echelon()
+    for j, b in enumerate(basis):
+        ech.add(b, tag=j)
+    return ech.solve(target, len(basis))
 
 
 def _lift(entry, variables) -> ParamPoly:

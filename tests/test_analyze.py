@@ -1,16 +1,20 @@
 import itertools
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 import skewclifford as sk
+import skewclifford.analyze as analyze_module
 from skewclifford.analyze import (
     build_r_elements,
     default_grid,
     is_central,
     is_normal,
     normal_locus_in_span,
+    nu_cocycle_holds,
     subalgebra_basis,
     verify_twist_from_gsca,
     verify_twist_theorem,
@@ -19,7 +23,7 @@ from skewclifford.freealg import NcPoly
 from skewclifford.rewrite import DegreeBoundError, groebner, normal_form
 from skewclifford.twist import DiagonalAutomorphism, mu_from_lambdas
 
-from conftest import NONZERO_SMALL, example21_matrices, example21_mu, random_gca
+from conftest import NONZERO_SMALL, example21_matrices, example21_mu, random_gca, random_mu
 
 
 def quantum_pair():
@@ -147,6 +151,23 @@ class TestSubalgebraBasis:
         large = subalgebra_basis(gb, y, 6).dims()
         assert all(a <= b for a, b in zip(small, large))
 
+    def test_work_grows_with_the_chosen_basis(self, monkeypatch):
+        # products are formed only from the chosen lower-degree basis:
+        # 5 generators, then 5 * (1 + 5 + 15 + 35 + 70) products through degree 10
+        pres = sk.build_gca(diag_grids(5))
+        gb = pres.groebner(10)
+        y = pres.y_normal_forms(gb)
+        calls = []
+
+        def counting(p, gb):
+            calls.append(p)
+            return normal_form(p, gb)
+
+        monkeypatch.setattr(analyze_module, "normal_form", counting)
+        sub = subalgebra_basis(gb, y, 10)
+        assert len(calls) == 5 + 5 * 126
+        assert sub.dims() == (1, 0, 5, 0, 15, 0, 35, 0, 70, 0, 126)
+
     def test_zero_generators_skipped(self, ex21):
         _, _, pres, gb = ex21
         y = pres.y_normal_forms(gb)
@@ -270,6 +291,47 @@ class TestVerifyTwistTheorem:
 
             for i, j, k, p, a, b in itertools.product(range(n), repeat=6):
                 assert nu(i, j, k, p) * nu(k, p, a, b) == nu(i, j, a, b)
+
+    def test_nu_cocycle_helper_matches_brute_force(self):
+        def brute(mu):
+            n = mu.n
+
+            def nu(i, j, k, p):
+                return mu[i, k] ** 2 * mu[j, p] ** 2
+
+            return all(
+                nu(i, j, k, p) * nu(k, p, a, b) == nu(i, j, a, b)
+                for i, j, k, p, a, b in itertools.product(range(n), repeat=6)
+            )
+
+        rng = random.Random(11)
+        outcomes = set()
+        for n in (2, 3):
+            for _ in range(40):
+                mu = random_mu(rng, n)
+                expected = brute(mu)
+                outcomes.add(expected)
+                assert nu_cocycle_holds(mu) == expected
+        assert outcomes == {True, False}
+        # n = 3, mu_12 = 2 with the other pairs 1: not of twist type and the
+        # identity fails; mu_12 = -1: not of twist type, yet the identity holds
+        for v, expected in ((2, False), (-1, True)):
+            grid = [[Fraction(1)] * 3 for _ in range(3)]
+            grid[0][1], grid[1][0] = Fraction(v), 1 / Fraction(v)
+            mu = sk.validate_mu(grid)
+            assert not sk.twist_criterion(mu).is_twist
+            assert brute(mu) is expected
+            assert nu_cocycle_holds(mu) is expected
+
+    def test_n5_through_10_within_budget(self):
+        start = time.perf_counter()
+        report = verify_twist_theorem(diag_grids(5), DiagonalAutomorphism((1, 2, -1, 3, 1)), 10)
+        elapsed = time.perf_counter() - start
+        assert report.passed
+        assert report.r_dims_computed == tuple(
+            math.comb(4 + d // 2, 4) if d % 2 == 0 else 0 for d in range(11)
+        )
+        assert elapsed < 10, f"took {elapsed:.2f}s, budget 10s"
 
     def test_degree_two_spans_agree(self):
         # span{r_ij} equals span{y_k} in degree two, both ways

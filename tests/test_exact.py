@@ -2,8 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewclifford.exact import (
+    Echelon,
     ExactMatrix,
     ParamPoly,
     parametric_minors,
@@ -85,6 +88,89 @@ class TestRank:
             ncols = rng.randint(1, 5)
             rows = [[Fraction(rng.randint(-3, 3)) for _ in range(ncols)] for _ in range(nrows)]
             assert rank(ExactMatrix(rows)) == local_rank(rows)
+
+
+def matrices_and_target():
+    """Small integer rows (often dependent) plus a target of the same width."""
+    entry = st.integers(-2, 2).map(Fraction)
+    return st.integers(1, 5).flatmap(
+        lambda ncols: st.tuples(
+            st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=6),
+            st.lists(entry, min_size=ncols, max_size=ncols),
+        )
+    )
+
+
+def tagged_echelon(rows):
+    ech = Echelon()
+    accepted = [ech.add(row, tag=j) for j, row in enumerate(rows)]
+    return ech, accepted
+
+
+# derandomized and without an example database, so runs repeat exactly
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+class TestEchelon:
+    @PROPERTY
+    @given(matrices_and_target())
+    def test_accepted_adds_count_the_rank(self, data):
+        rows, _ = data
+        ech, accepted = tagged_echelon(rows)
+        assert sum(accepted) == len(ech) == local_rank(rows)
+        untagged = Echelon()
+        assert sum(untagged.add(row) for row in rows) == local_rank(rows)
+
+    @PROPERTY
+    @given(matrices_and_target(), st.lists(st.integers(-2, 2), min_size=6, max_size=6))
+    def test_solve_rebuilds_a_combination(self, data, weights):
+        rows, target = data
+        target = [sum((w * row[i] for w, row in zip(weights, rows)), Fraction(0)) for i in range(len(target))]
+        ech, _ = tagged_echelon(rows)
+        sol = ech.solve(target, len(rows))
+        assert sol is not None and len(sol) == len(rows)
+        rebuilt = [sum((c * row[i] for c, row in zip(sol, rows)), Fraction(0)) for i in range(len(target))]
+        assert rebuilt == target
+
+    @PROPERTY
+    @given(matrices_and_target())
+    def test_rejected_inputs_get_zero(self, data):
+        rows, target = data
+        ech, accepted = tagged_echelon(rows)
+        sol = ech.solve(target, len(rows))
+        if sol is not None:
+            assert all(c == 0 for c, ok in zip(sol, accepted) if not ok)
+
+    @PROPERTY
+    @given(matrices_and_target())
+    def test_solve_fails_exactly_when_rank_rises(self, data):
+        rows, target = data
+        ech, _ = tagged_echelon(rows)
+        rises = local_rank(rows + [target]) > local_rank(rows)
+        assert (ech.solve(target, len(rows)) is None) == rises
+        assert (not ech.reduce(target)) == (not rises)
+
+    def test_word_columns(self):
+        ech = Echelon()
+        assert ech.add({(0, 1): 2, (1, 0): 1}, tag=0)
+        assert not ech.add({(0, 1): 4, (1, 0): 2}, tag=1)
+        assert ech.add({(1, 1): 1}, tag=2)
+        assert ech.solve({(0, 1): 6, (1, 0): 3, (1, 1): -1}, 3) == (3, 0, -1)
+        assert ech.solve({(0, 0): 1}, 3) is None
+
+    def test_pivot_rows_are_monic_and_keyed_by_lowest_column(self):
+        ech = Echelon()
+        ech.add([0, 2, 4])
+        ech.add([3, 3, 0])
+        # the second row is reduced against the first before it is stored
+        assert ech.rows == {1: {1: 1, 2: 2}, 0: {0: 1, 2: -2}}
+
+    def test_untagged_rows_cannot_solve(self):
+        ech = Echelon()
+        ech.add([1, 0])
+        assert ech.solve([0, 0], 0) == ()
+        with pytest.raises(ValueError, match="without a tag"):
+            ech.solve([1, 0], 0)
 
 
 class TestSolveInSpan:
