@@ -322,6 +322,9 @@ def normalizing_check(sys: QuadricSystem, max_degree: int) -> NormalizingVerdict
     Sequential normality: each form must be normal in the quotient of the
     skew ring by its predecessors.  A not-found verdict only means no
     permutation of the given forms works, not that no sequence exists.
+    The quotient depends only on the set of predecessors (the presentation
+    sorts its relations), so each set's basis and each (set, form) verdict
+    is computed once: at most 2^m bases instead of m * m!.
     """
     from .analyze import is_normal  # local import avoids a module cycle
 
@@ -329,22 +332,26 @@ def normalizing_check(sys: QuadricSystem, max_degree: int) -> NormalizingVerdict
     if m > MAX_PERMUTATION_FORMS:
         raise ValueError(f"permutation search capped at {MAX_PERMUTATION_FORMS} forms")
     ring = build_skew_ring(sys.mu)
+    bases: Dict[frozenset, GroebnerData] = {}
+    verdicts: Dict[Tuple[frozenset, int], bool] = {}
+
+    def normal_after(prefix: frozenset, k: int) -> bool:
+        if (prefix, k) not in verdicts:
+            gb = bases.get(prefix)
+            if gb is None:
+                rels = list(ring.relations) + [sys.forms[j].as_ncpoly() for j in sorted(prefix)]
+                gb = bases[prefix] = groebner(PresentedAlgebra(sys.mu.n, rels), max_degree)
+            a = normal_form(sys.forms[k].as_ncpoly(), gb)
+            # a form already zero in the quotient is trivially normal
+            verdicts[prefix, k] = not a or is_normal(a, gb).normal
+        return verdicts[prefix, k]
+
     given = tuple(range(m))
     orders = [given] + [p for p in itertools.permutations(range(m)) if p != given]
     searched = 0
     for order in orders:
         searched += 1
-        ok = True
-        for t in range(m):
-            rels = list(ring.relations) + [sys.forms[k].as_ncpoly() for k in order[:t]]
-            gb = groebner(PresentedAlgebra(sys.mu.n, rels), max_degree)
-            a = normal_form(sys.forms[order[t]].as_ncpoly(), gb)
-            if not a:
-                continue  # already zero in the quotient, trivially normal
-            if not is_normal(a, gb).normal:
-                ok = False
-                break
-        if ok:
+        if all(normal_after(frozenset(order[:t]), order[t]) for t in range(m)):
             return NormalizingVerdict(True, order, searched)
     return NormalizingVerdict(False, None, searched)
 

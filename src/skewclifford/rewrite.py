@@ -8,9 +8,10 @@ and normal forms of elements of degree <= D are unique.
 
 from __future__ import annotations
 
+import bisect
+import heapq
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Union
 
 from .freealg import MAX_GENERATORS, NcPoly, Word, word_key
 
@@ -51,75 +52,194 @@ class PresentedAlgebra:
         return f"PresentedAlgebra(n={self.n}, relations={len(self.relations)})"
 
 
-def reduce_poly(p: NcPoly, basis: Sequence[NcPoly]) -> NcPoly:
-    """Fully reduce p modulo a list of monic polynomials.
+class _LeadIndex:
+    """The rewriting rules of a set of monic polynomials, indexed by leading word.
+
+    `by_lead` maps each leading word to its polynomial (the first one given
+    when several share a leading word) and `lengths` lists the distinct
+    leading-word lengths in increasing order, so the smallest leading word
+    at a position is found by hashing one slice per length.  `_tails` holds
+    each rule's other words with their negated coefficients, None for 1,
+    so that a rewrite multiplies only where it must.
+    """
+
+    __slots__ = ("by_lead", "lengths", "_length_counts", "_tails")
+
+    def __init__(self, basis: Sequence[NcPoly] = ()):
+        self.by_lead: Dict[Word, NcPoly] = {}
+        self.lengths: List[int] = []
+        self._length_counts: Dict[int, int] = {}
+        self._tails: Dict[Word, tuple] = {}
+        for g in basis:
+            lw = g.lead_word()
+            if lw not in self.by_lead:
+                self.add(lw, g)
+
+    def add(self, lw: Word, g: NcPoly) -> None:
+        """Index g under its leading word lw, which must be new to the index."""
+        self.by_lead[lw] = g
+        self._tails[lw] = tuple((w, None if c == -1 else -c) for w, c in g.terms.items() if w != lw)
+        count = self._length_counts.get(len(lw), 0)
+        self._length_counts[len(lw)] = count + 1
+        if not count:
+            bisect.insort(self.lengths, len(lw))
+
+    def remove(self, lw: Word) -> None:
+        del self.by_lead[lw]
+        del self._tails[lw]
+        count = self._length_counts.pop(len(lw)) - 1
+        if count:
+            self._length_counts[len(lw)] = count
+        else:
+            self.lengths.remove(len(lw))
+
+    def match(self, w: Word):
+        """(position, length, tail) of the leftmost, smallest rule matching w, or None."""
+        get = self._tails.get
+        lengths = self.lengths
+        n = len(w)
+        if not lengths:
+            return None
+        for pos in range(n - lengths[0] + 1):
+            for L in lengths:
+                end = pos + L
+                if end > n:
+                    break
+                tail = get(w[pos:end])
+                if tail is not None:
+                    return pos, L, tail
+        return None
+
+
+def _descending(w: Word) -> int:
+    """Heap key that pops words in decreasing deglex order (letters are < 256)."""
+    return -int.from_bytes(b"\x01" + bytes(w), "big")
+
+
+def reduce_poly(p: NcPoly, basis: Union[Sequence[NcPoly], _LeadIndex]) -> NcPoly:
+    """Fully reduce p modulo a list (or lead index) of monic polynomials.
 
     Strategy is fixed for reproducibility: rewrite the deglex-largest
     reducible word, at its leftmost reducible position, by the smallest
-    matching leading word.
+    matching leading word (the first listed, among equal leading words).
+    A rewrite replaces a word by deglex-smaller ones, so words are taken
+    off a max-heap, and a word found irreducible is final.
     """
-    if not basis:
+    rules = basis if isinstance(basis, _LeadIndex) else _LeadIndex(basis)
+    if not rules.by_lead:
         return p
-    leads = sorted(((g.lead_word(), g) for g in basis), key=lambda t: word_key(t[0]))
-    lead_words = [lw for lw, _ in leads]
-    min_len = min(len(lw) for lw in lead_words)
+    match = rules.match
     terms = dict(p.terms)
-    while True:
-        hit = None
-        for w in sorted(terms, key=word_key, reverse=True):
-            if len(w) < min_len:
-                break
-            for pos in range(len(w) - min_len + 1):
-                for lw, g in leads:
-                    if w[pos : pos + len(lw)] == lw:
-                        hit = (w, pos, lw, g)
-                        break
-                if hit:
-                    break
-            if hit:
-                break
+    heap = [(_descending(w), w) for w in terms]
+    heapq.heapify(heap)
+    done = {}
+    while heap:
+        w = heapq.heappop(heap)[1]
+        c = terms.pop(w, None)
+        if c is None:
+            continue  # cancelled since it was queued
+        hit = match(w)
         if hit is None:
-            break
-        w, pos, lw, g = hit
-        c = terms.pop(w)
-        left, right = w[:pos], w[pos + len(lw) :]
-        for gw, gc in g.terms.items():
-            if gw == lw:
-                continue
+            done[w] = c
+            continue
+        pos, L, tail = hit
+        left, right = w[:pos], w[pos + L :]
+        for gw, factor in tail:
+            d = c if factor is None else c * factor
             nw = left + gw + right
-            s = terms.get(nw, Fraction(0)) - c * gc
-            if s:
-                terms[nw] = s
+            old = terms.get(nw)
+            if old is None:
+                terms[nw] = d
+                heapq.heappush(heap, (_descending(nw), nw))
             else:
-                terms.pop(nw, None)
-    return NcPoly(terms)
+                s = old + d
+                if s:
+                    terms[nw] = s
+                else:
+                    del terms[nw]
+    out = NcPoly.__new__(NcPoly)
+    out.terms = done
+    return out
 
 
-def _interreduce(polys: Sequence[NcPoly]) -> List[NcPoly]:
-    """Mutually reduce a set of monic polynomials to the canonical reduced set."""
-    basis = [p.monic() for p in polys if p]
-    changed = True
-    while changed:
-        changed = False
-        basis.sort(key=lambda p: (word_key(p.lead_word()), p.canonical_key()))
-        for i in range(len(basis)):
-            p = basis[i]
-            others = basis[:i] + basis[i + 1 :]
-            h = reduce_poly(p, others)
-            if h != p:
-                basis.pop(i)
-                if h:
-                    basis.append(h.monic())
-                changed = True
-                break
-    basis.sort(key=lambda p: (word_key(p.lead_word()), p.canonical_key()))
-    return basis
+def _occurs(lw: Word, g: NcPoly) -> bool:
+    """Whether some word of g has lw as a subword."""
+    if lw in g.terms:
+        return True
+    L = len(lw)
+    return any(
+        w[pos : pos + L] == lw for w in g.terms if len(w) > L for pos in range(len(w) - L + 1)
+    )
+
+
+def _interreduce(rules: _LeadIndex, polys: Sequence[NcPoly]) -> None:
+    """Adjoin polys to the inter-reduced rules and restore inter-reduction in place.
+
+    Each step is the one the fixed-point definition takes: replace the
+    smallest element (by leading word, then canonical key) that is
+    reducible modulo the others by its monic remainder, dropping zeros.
+    An element that is not queued is irreducible modulo the others, and it
+    is queued only when a new leading word occurs in one of its words.  For
+    homogeneous input a new element h occurs only in words of degree
+    >= deg h, so same-degree elements get a tail update and only longer
+    ones can lose their leading word.  Input relations may share a leading
+    word; the index then holds the smallest of them and the word stays
+    queued until the others are reduced.
+    """
+    by_lead = rules.by_lead
+    dups: Dict[Word, List[NcPoly]] = {}  # the others sharing an indexed leading word, by canonical key
+    todo: List[tuple] = []
+    queued = set()
+
+    def queue(lw):
+        if lw not in queued:
+            queued.add(lw)
+            heapq.heappush(todo, (len(lw), lw))
+
+    def adjoin(g):
+        """Index g; returns its leading word.  Elements whose words contain a new leading word are queued."""
+        lw = g.lead_word()
+        if lw in by_lead:
+            group = sorted([by_lead[lw], *dups.get(lw, ()), g], key=NcPoly.canonical_key)
+            rules.remove(lw)
+            rules.add(lw, group[0])
+            dups[lw] = group[1:]
+            queue(lw)
+        else:
+            for other, h in by_lead.items():
+                if len(other) >= len(lw) and other not in queued and _occurs(lw, h):
+                    queue(other)
+            rules.add(lw, g)
+        return lw
+
+    for p in polys:
+        if p:
+            queue(adjoin(p.monic()))
+    while todo:
+        lw = heapq.heappop(todo)[1]
+        queued.discard(lw)
+        g = by_lead.get(lw)
+        if g is None:
+            continue  # left since it was queued
+        rest = dups.pop(lw, None)
+        rules.remove(lw)
+        if rest:
+            rules.add(lw, rest[0])
+            if len(rest) > 1:
+                dups[lw] = rest[1:]
+            queue(lw)
+        elif all(rules.match(w) is None for w in g.terms):
+            rules.add(lw, g)  # irreducible: it stays
+            continue
+        h = reduce_poly(g, rules)
+        if h:
+            adjoin(h.monic())  # irreducible modulo the others, so not queued
 
 
 class GroebnerData:
     """A truncated, inter-reduced rewriting system for a graded presentation."""
 
-    __slots__ = ("source", "max_degree", "elements", "complete_through", "_basis_cache")
+    __slots__ = ("source", "max_degree", "elements", "complete_through", "_basis_cache", "_rules")
 
     def __init__(self, source: PresentedAlgebra, max_degree: int, elements: Sequence[NcPoly], complete_through: int):
         self.source = source
@@ -127,6 +247,7 @@ class GroebnerData:
         self.elements = tuple(elements)
         self.complete_through = complete_through
         self._basis_cache: dict = {}
+        self._rules = _LeadIndex(self.elements)
 
     @property
     def n(self) -> int:
@@ -147,24 +268,27 @@ class GroebnerData:
         return f"GroebnerData(n={self.n}, elements={len(self.elements)}, complete_through={self.complete_through})"
 
 
-def _obstructions(basis: Sequence[NcPoly], degree: int):
-    """Overlap ambiguities with ambiguity word of the given total degree.
+def _obstructions(by_lead: Dict[Word, NcPoly], degree: int):
+    """Overlap ambiguities a*lead(g) = lead(f)*b whose word has the given total degree.
 
-    Each item is (ambiguity word, left poly, right poly, overlap length);
-    sorted by (word, overlap length, polynomial keys) for determinism.
+    Each item is (a, f, g, b); items are sorted by (ambiguity word,
+    overlap length, polynomial keys) for determinism.
     """
     obs = []
-    for f in basis:
-        u = f.lead_word()
-        for g in basis:
-            v = g.lead_word()
-            for ell in range(1, min(len(u), len(v))):
-                if len(u) + len(v) - ell != degree:
-                    continue
-                if u[len(u) - ell :] == v[:ell]:
-                    obs.append((u + v[ell:], f, g, ell))
-    obs.sort(key=lambda t: (word_key(t[0]), t[3], t[1].canonical_key(), t[2].canonical_key()))
-    return obs
+    for u in by_lead:
+        for v in by_lead:
+            ell = len(u) + len(v) - degree
+            if 0 < ell < min(len(u), len(v)) and u[len(u) - ell :] == v[:ell]:
+                obs.append((word_key(u + v[ell:]), ell, u, v))
+    keys: Dict[Word, tuple] = {}
+
+    def key(lw: Word) -> tuple:
+        if lw not in keys:
+            keys[lw] = by_lead[lw].canonical_key()
+        return keys[lw]
+
+    obs.sort(key=lambda t: (t[0], t[1], key(t[2]), key(t[3])))
+    return [(u[: len(u) - ell], by_lead[u], by_lead[v], v[ell:]) for _, ell, u, v in obs]
 
 
 def groebner(alg: PresentedAlgebra, max_degree: int) -> GroebnerData:
@@ -176,19 +300,18 @@ def groebner(alg: PresentedAlgebra, max_degree: int) -> GroebnerData:
     """
     if max_degree < 2:
         raise ValueError("max_degree must be >= 2")
-    basis = _interreduce(alg.relations)
+    rules = _LeadIndex()
+    _interreduce(rules, alg.relations)
     for d in range(3, max_degree + 1):
-        for w, f, g, ell in _obstructions(basis, d):
+        for a, f, g, b in _obstructions(rules.by_lead, d):
             # Stale pairs (f or g replaced by interreduction) still yield
             # ideal members, so reducing them is sound either way.
-            u, v = f.lead_word(), g.lead_word()
-            b = v[ell:]
-            a = u[: len(u) - ell]
             s = f * NcPoly.word(b) - NcPoly.word(a) * g
-            h = reduce_poly(s, basis)
+            h = reduce_poly(s, rules)
             if h:
-                basis = _interreduce(basis + [h.monic()])
-    return GroebnerData(alg, max_degree, basis, max_degree)
+                _interreduce(rules, [h])
+    elements = [rules.by_lead[lw] for lw in sorted(rules.by_lead, key=word_key)]
+    return GroebnerData(alg, max_degree, elements, max_degree)
 
 
 def normal_form(p: NcPoly, gb: GroebnerData) -> NcPoly:
@@ -198,7 +321,7 @@ def normal_form(p: NcPoly, gb: GroebnerData) -> NcPoly:
         raise DegreeBoundError(
             f"degree {deg} exceeds completeness bound {gb.complete_through}"
         )
-    return reduce_poly(p, gb.elements)
+    return reduce_poly(p, gb._rules)
 
 
 def degree_basis(gb: GroebnerData, d: int) -> List[Word]:
@@ -210,8 +333,8 @@ def degree_basis(gb: GroebnerData, d: int) -> List[Word]:
     cache = gb._basis_cache
     if d in cache:
         return cache[d]
-    leads = {g.lead_word() for g in gb.elements}
-    lengths = sorted({len(lw) for lw in leads})
+    leads = gb._rules.by_lead
+    lengths = gb._rules.lengths
     start = max((k for k in cache if k <= d), default=None)
     if start is None:
         cache[0] = [()]

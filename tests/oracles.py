@@ -2,12 +2,15 @@
 
 Everything here deliberately avoids the package's rewriting and elimination
 machinery: straightening is done by explicit adjacent transpositions on the
-ordered monomial basis of the skew ring, and ranks come from a local row
-reduction with a right-to-left pivot order.
+ordered monomial basis of the skew ring, ranks come from a local row
+reduction with a right-to-left pivot order, and `naive_reduce` rewrites by
+re-sorting every term and scanning every leading word at each step.
 """
 
 import itertools
 from fractions import Fraction
+
+from skewclifford.freealg import NcPoly, word_key
 
 
 def straighten(mu_grid, word):
@@ -114,3 +117,48 @@ def skew_quotient_dims(mu_grid, form_terms, through):
                                 rows.append(row)
         dims.append(len(basis) - local_rank(rows))
     return dims
+
+
+def naive_reduce(p, basis):
+    """Reduce p modulo a list of monic polynomials by the package's fixed strategy.
+
+    Rewrite the deglex-largest reducible word, at its leftmost reducible
+    position, by the smallest matching leading word (the first listed, among
+    equal leading words).  Every step re-sorts all terms and scans every
+    leading word, so the strategy is spelled out rather than indexed.
+    """
+    if not basis:
+        return p
+    leads = sorted(((g.lead_word(), g) for g in basis), key=lambda t: word_key(t[0]))
+    lead_words = [lw for lw, _ in leads]
+    min_len = min(len(lw) for lw in lead_words)
+    terms = dict(p.terms)
+    while True:
+        hit = None
+        for w in sorted(terms, key=word_key, reverse=True):
+            if len(w) < min_len:
+                break
+            for pos in range(len(w) - min_len + 1):
+                for lw, g in leads:
+                    if w[pos : pos + len(lw)] == lw:
+                        hit = (w, pos, lw, g)
+                        break
+                if hit:
+                    break
+            if hit:
+                break
+        if hit is None:
+            break
+        w, pos, lw, g = hit
+        c = terms.pop(w)
+        left, right = w[:pos], w[pos + len(lw) :]
+        for gw, gc in g.terms.items():
+            if gw == lw:
+                continue
+            nw = left + gw + right
+            s = terms.get(nw, Fraction(0)) - c * gc
+            if s:
+                terms[nw] = s
+            else:
+                terms.pop(nw, None)
+    return NcPoly(terms)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import skewclifford as sk
+from skewclifford import analyze, clifford
 from skewclifford.clifford import _pair_expression
 from skewclifford.freealg import NcPoly
 from skewclifford.rewrite import PresentedAlgebra, groebner, normal_form
@@ -256,6 +257,33 @@ class TestNormalizing:
         system = sk.QuadricSystem(mu, (sk.QuadraticForm(2, {(0, 0): 1, (1, 1): 1}),))
         verdict = sk.normalizing_check(system, 5)
         assert not verdict.found and verdict.order is None
+
+    def test_full_search_builds_each_prefix_set_once(self, monkeypatch):
+        # squares stay normal, and z1*z2 + z3*z4 is not normal since
+        # mu_14 * mu_24 != mu_34, so all 4! orders fail at the mixed form
+        grid = [[Fraction(1)] * 4 for _ in range(4)]
+        grid[0][3], grid[3][0] = Fraction(2), Fraction(1, 2)
+        forms = [sk.QuadraticForm(4, {(k, k): 1}) for k in range(3)]
+        system = sk.QuadricSystem(sk.validate_mu(grid), (*forms, sk.QuadraticForm(4, {(0, 1): 1, (2, 3): 1})))
+        inputs, checks = [], []
+        build, check = clifford.groebner, analyze.is_normal
+
+        def record(alg, max_degree):
+            inputs.append(alg.relations)
+            return build(alg, max_degree)
+
+        def record_check(a, gb):
+            checks.append(a)
+            return check(a, gb)
+
+        monkeypatch.setattr(clifford, "groebner", record)
+        monkeypatch.setattr(analyze, "is_normal", record_check)
+        verdict = sk.normalizing_check(system, 4)
+        assert not verdict.found and verdict.searched == 24
+        # one basis per subset of the three squares and one check per
+        # (subset, next form) pair: 60 of each without the memo
+        assert len(inputs) == len(set(inputs)) == 8
+        assert len(checks) == 20
 
 
 class TestBasePointFree:

@@ -1,11 +1,15 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import skewclifford as sk
-from skewclifford.freealg import NcPoly
+from skewclifford import rewrite
+from skewclifford.freealg import NcPoly, word_key
 from skewclifford.rewrite import (
     DegreeBoundError,
     PresentedAlgebra,
@@ -14,14 +18,82 @@ from skewclifford.rewrite import (
     groebner,
     hilbert_coeffs,
     normal_form,
+    reduce_poly,
 )
 
 from conftest import example21_matrices, example21_mu
-from oracles import free_quotient_dims, skew_quotient_dims
+from oracles import free_quotient_dims, naive_reduce, skew_quotient_dims
+
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+COEFFS = st.sampled_from([Fraction(v) for v in (1, 2, 3, -1, -2, Fraction(1, 2), Fraction(-2, 3))])
 
 
 def skew_ring_21():
     return sk.build_skew_ring(example21_mu())
+
+
+def triangular_gca_quotient(seed, n):
+    """Skew ring (mu = 1) modulo n quadrics, the k-th on z_k..z_n with a nonzero z_k^2 term.
+
+    The triangular shape leaves the origin as the only common zero, so the
+    quotient is a complete intersection of dimension 2^n.
+    """
+    rng = random.Random(seed)
+    entries = [Fraction(v) for v in (-2, -1, 0, 0, 1, 2)]
+    squares = [Fraction(v) for v in (1, 2, 3, -1, -2, Fraction(1, 2), Fraction(-1, 2))]
+    grids = []
+    for k in range(n):
+        g = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(k, n):
+            for j in range(i, n):
+                g[i][j] = g[j][i] = rng.choice(squares) if i == j == k else rng.choice(entries)
+        grids.append(g)
+    system = sk.quadric_system_of(sk.build_gca(grids))
+    rels = list(sk.build_skew_ring(sk.MuMatrix.ones(n)).relations) + [q.as_ncpoly() for q in system.forms]
+    return PresentedAlgebra(n, rels)
+
+
+def _polys(n, lo, hi, max_terms, min_terms=0):
+    """Terms on words of length lo..hi (repeated words keep the last coefficient)."""
+    word = st.lists(st.integers(0, n - 1), min_size=lo, max_size=hi).map(tuple)
+    return st.lists(st.tuples(word, COEFFS), min_size=min_terms, max_size=max_terms).map(lambda t: NcPoly(dict(t)))
+
+
+@st.composite
+def reduction_problems(draw):
+    """(p, monic basis): leading words may repeat, degrees mix, and rules need not be homogeneous.
+
+    Such a basis is not confluent, so the remainder depends on the reduction
+    strategy and only the fixed one reproduces the oracle.
+    """
+    n = draw(st.integers(2, 3))
+    basis = []
+    for _ in range(draw(st.integers(2, 5))):
+        g = draw(_polys(n, 1, 3, 4, min_terms=1)).monic()
+        basis.append(g)
+        if draw(st.booleans()):  # another rule for the same leading word
+            lw = g.lead_word()
+            tail = draw(_polys(n, 0, len(lw), 3)).terms
+            basis.append(NcPoly({**{w: c for w, c in tail.items() if word_key(w) < word_key(lw)}, lw: 1}))
+    order = draw(st.permutations(range(len(basis))))
+    p = draw(_polys(n, 2, 6, 4))
+    # a word holding two leading words, so that rules compete for positions
+    gap = st.lists(st.integers(0, n - 1), max_size=1).map(tuple)
+    i, j = draw(st.integers(0, len(basis) - 1)), draw(st.integers(0, len(basis) - 1))
+    w = draw(gap) + basis[i].lead_word() + draw(gap) + basis[j].lead_word() + draw(gap)
+    p = p + NcPoly({w: draw(COEFFS)})
+    return p, [basis[i] for i in order]
+
+
+@st.composite
+def presentations(draw):
+    """(n, homogeneous relations of degree 2 or 3, completeness bound)."""
+    n = draw(st.integers(2, 3))
+    rels = []
+    for _ in range(draw(st.integers(1, 4))):
+        deg = draw(st.sampled_from((2, 2, 3)))
+        rels.append(draw(_polys(n, deg, deg, 3, min_terms=1)))
+    return n, rels, 5 if n == 2 else 4
 
 
 class TestPresentedAlgebra:
@@ -87,6 +159,63 @@ class TestGroebner:
                 if u == v:
                     continue
                 assert not any(v[p : p + len(u)] == u for p in range(len(v) - len(u) + 1))
+
+    @PROPERTY
+    @given(presentations(), st.randoms(use_true_random=False))
+    def test_reduced_basis_invariant_under_permuting_scaling_and_recombining(self, case, rnd):
+        n, rels, bound = case
+        changed = [r.scale(rnd.choice([2, -1, Fraction(1, 3)])) for r in rels]
+        rnd.shuffle(changed)
+        for i in range(1, len(changed)):
+            j = rnd.randrange(i)
+            if changed[i].homogeneous_degree() == changed[j].homogeneous_degree():
+                changed[i] = changed[i] + changed[j].scale(rnd.choice([1, -2]))  # same span
+        base = groebner(PresentedAlgebra(n, rels), bound)
+        assert groebner(PresentedAlgebra(n, changed), bound).elements == base.elements
+
+    def test_reduction_count(self, monkeypatch):
+        # Interreduction revisits only the elements a new leading word reaches;
+        # re-reducing every element after each new one took 1456 calls here.
+        calls = []
+        counted = rewrite.reduce_poly
+
+        def count(*args):
+            calls.append(1)
+            return counted(*args)
+
+        monkeypatch.setattr(rewrite, "reduce_poly", count)
+        gb = groebner(triangular_gca_quotient(4, 5), 12)
+        assert finite_dim_check(gb).dimension == 32
+        assert len(calls) == 270
+
+    def test_n6_quotient_within_budget(self):
+        alg = triangular_gca_quotient(6, 6)
+        start = time.perf_counter()
+        verdict = finite_dim_check(groebner(alg, 14))
+        elapsed = time.perf_counter() - start
+        assert verdict.finite and verdict.dimension == 64
+        assert elapsed < 5.0, f"n=6 quotient through degree 14 took {elapsed:.1f} s"
+
+
+class TestReducePoly:
+    @PROPERTY
+    @given(reduction_problems())
+    def test_matches_the_naive_strategy_on_non_confluent_bases(self, problem):
+        p, basis = problem
+        assert reduce_poly(p, basis) == naive_reduce(p, basis)
+
+    def test_strategy_rules(self):
+        # x1*x2*x2 holds x1*x2 at position 0 and x2*x2 at position 1: the leftmost wins
+        left = NcPoly({(0, 1): 1, (2,): -1})
+        right = NcPoly({(1, 1): 1, (0,): -1})
+        assert reduce_poly(NcPoly.word((0, 1, 1)), [right, left]) == NcPoly.word((2, 1))
+        # x1*x2 and x1*x2*x2 both match at position 0: the smaller leading word wins
+        longer = NcPoly({(0, 1, 1): 1, (0, 0, 0): -1})
+        assert reduce_poly(NcPoly.word((0, 1, 1)), [longer, left]) == NcPoly.word((2, 1))
+        # equal leading words: the first listed wins
+        other = NcPoly({(0, 1): 1, (0,): -1})
+        assert reduce_poly(NcPoly.word((0, 1)), [other, left]) == NcPoly.word((0,))
+        assert reduce_poly(NcPoly.word((0, 1)), [left, other]) == NcPoly.word((2,))
 
 
 class TestNormalForm:
