@@ -197,7 +197,12 @@ class LocusReport:
 
 
 def default_grid(m: int, radius: int = 2) -> List[Tuple[Fraction, ...]]:
-    """All parameter tuples with entries in -radius..radius, zero tuple excluded."""
+    """All parameter tuples with entries in -radius..radius, zero tuple excluded.
+
+    A radius below 1 would leave no point to check, so it is rejected.
+    """
+    if radius < 1:
+        raise ValueError(f"grid radius must be at least 1, got {radius}")
     values = [Fraction(v) for v in range(-radius, radius + 1)]
     return [pt for pt in itertools.product(values, repeat=m) if any(pt)]
 
@@ -215,8 +220,10 @@ def normal_locus_in_span(
     polynomials, so the containment matrices have entries linear in the
     parameters.  Vanishing of all maximal minors of each augmented matrix
     is necessary for normality; a nonzero minor at a grid point is a sound
-    not-normal certificate, and the remaining points are settled exactly by
-    specializing and running is_normal.
+    not-normal certificate.  The remaining points are settled exactly by
+    the containment test of is_normal, run on the products formed here:
+    normal forms are linear, so NF(side[h] * a) and NF(a * side[h]) are the
+    same combinations of the normal-formed products.
     """
     gens = [normal_form(g, gb) for g in span_gens]
     side = [normal_form(g, gb) for g in side_basis]
@@ -236,15 +243,14 @@ def normal_locus_in_span(
     s = len(side)
     variables = tuple(f"c{k + 1}" for k in range(m))
     words = degree_basis(gb, total)
-    word_index = {w: i for i, w in enumerate(words)}
     # gen_times_side[k][h] and side_times_gen[h][k] drive both containments
-    gen_times_side = [[_coords(normal_form(gens[k] * side[h], gb), word_index) for h in range(s)] for k in range(m)]
-    side_times_gen = [[_coords(normal_form(side[h] * gens[k], gb), word_index) for k in range(m)] for h in range(s)]
+    gen_times_side = [[normal_form(gens[k] * side[h], gb).terms for h in range(s)] for k in range(m)]
+    side_times_gen = [[normal_form(side[h] * gens[k], gb).terms for k in range(m)] for h in range(s)]
 
-    def linear_entry(vectors_by_param: List[Tuple[Fraction, ...]], w: int) -> ParamPoly:
+    def linear_entry(vectors_by_param: List[Dict[tuple, Fraction]], word: tuple) -> ParamPoly:
         terms = {}
         for k in range(m):
-            c = vectors_by_param[k][w]
+            c = vectors_by_param[k].get(word)
             if c:
                 exp = tuple(1 if t == k else 0 for t in range(m))
                 terms[exp] = c
@@ -260,7 +266,7 @@ def normal_locus_in_span(
                 cols = [[side_times_gen[h][k] for k in range(m)] for h in range(s)]
                 aug = [gen_times_side[k][g] for k in range(m)]
             rows = []
-            for w in range(len(words)):
+            for w in words:
                 row = [linear_entry(col, w) for col in cols]
                 row.append(linear_entry(aug, w))
                 if any(row):
@@ -270,23 +276,53 @@ def normal_locus_in_span(
                     if poly:
                         minors.append(MinorRecord(side_name, g, poly))
 
+    # Certificates: each minor over one table of monomial values, with its
+    # coefficients scaled to ints (scaling does not move its zeros).
+    monomials = sorted({e for record in minors for e in record.poly.terms})
+    slot = {e: j for j, e in enumerate(monomials)}
+    scaled_minors = []
+    for record in minors:
+        den = math.lcm(*(c.denominator for c in record.poly.terms.values()))
+        scaled_minors.append([(slot[e], c.numerator * (den // c.denominator)) for e, c in record.poly.terms.items()])
+    zero_side = not all(side)
+
     points: List[PointVerdict] = []
     for point in grid:
         point = tuple(Fraction(v) for v in point)
         certificate = None
-        for idx, record in enumerate(minors):
-            if record.poly.evaluate(point):
-                certificate = idx
-                break
+        if minors:
+            if len(point) != m:
+                raise ValueError("wrong number of parameter values")
+            values = [v.numerator if v.denominator == 1 else v for v in point]
+            table = [math.prod(v**e for v, e in zip(values, exp)) for exp in monomials]
+            certificate = next(
+                (idx for idx, terms in enumerate(scaled_minors) if sum(c * table[j] for j, c in terms)), None
+            )
         if certificate is not None:
             points.append(PointVerdict(point, False, certificate))
             continue
-        element = NcPoly.zero()
-        for c, g in zip(point, gens):
-            element = element + g.scale(c)
-        verdict = is_normal(element, gb, side)
-        points.append(PointVerdict(point, verdict.normal, None))
+        if zero_side and any(_combine(point, [g.terms for g in gens]).values()):
+            raise ValueError("side basis elements must be nonzero and homogeneous")  # as is_normal would
+        # NF(side[h] * a) must lie in span{NF(a * side[h'])} and vice versa: the
+        # first containment plus equal ranks gives both.
+        left_span, right_span = Echelon(), Echelon()
+        lefts = [_combine(point, side_times_gen[h]) for h in range(s)]
+        for h in range(s):
+            left_span.add(lefts[h])
+            right_span.add(_combine(point, [gen_times_side[k][h] for k in range(m)]))
+        normal = len(left_span) == len(right_span) and not any(right_span.reduce(v) for v in lefts)
+        points.append(PointVerdict(point, normal, None))
     return LocusReport(variables, tuple(minors), tuple(points))
+
+
+def _combine(point: Sequence[Fraction], vectors: Sequence[Dict]) -> Dict:
+    """sum_k point[k] * vectors[k] for sparse vectors; cancelled entries stay as zeros."""
+    out: Dict = {}
+    for c, vec in zip(point, vectors):
+        if c:
+            for col, v in vec.items():
+                out[col] = out.get(col, 0) + c * v
+    return out
 
 
 def _require_diagonal(tau):

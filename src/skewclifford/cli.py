@@ -392,10 +392,13 @@ def _handle_central(spec, flags):
 
 
 def _handle_normal_locus(spec, flags):
+    try:
+        grid = analyze.default_grid(spec.n, flags.grid)
+    except ValueError as exc:
+        raise ValueError(f"--grid: {exc}") from exc
     pres = _build(spec)
     gb = pres.groebner(_bound(spec, flags))
     y_nfs = pres.y_normal_forms(gb)
-    grid = analyze.default_grid(spec.n, flags.grid)
     report = analyze.normal_locus_in_span(gb, y_nfs, y_nfs, grid)
     evidence = {
         "parameters": list(report.variables),

@@ -5,6 +5,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
 import re
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Optional, Sequence
@@ -66,6 +67,14 @@ class ParamPoly:
         self.terms = clean
 
     @classmethod
+    def _make(cls, variables: tuple, terms: dict) -> "ParamPoly":
+        """Wrap terms that are already canonical (tuple exponents, nonzero Fractions) without re-validating."""
+        p = object.__new__(cls)
+        p.variables = variables
+        p.terms = terms
+        return p
+
+    @classmethod
     def constant(cls, variables: Sequence[str], value) -> "ParamPoly":
         value = Fraction(value)
         zero_exp = (0,) * len(tuple(variables))
@@ -89,17 +98,17 @@ class ParamPoly:
         other = self._coerce(other)
         terms = dict(self.terms)
         for exp, c in other.terms.items():
-            s = terms.get(exp, Fraction(0)) + c
+            s = terms.get(exp, 0) + c
             if s:
                 terms[exp] = s
             else:
-                terms.pop(exp, None)
-        return ParamPoly(self.variables, terms)
+                del terms[exp]
+        return ParamPoly._make(self.variables, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ParamPoly(self.variables, {e: -c for e, c in self.terms.items()})
+        return ParamPoly._make(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -110,18 +119,20 @@ class ParamPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Fraction(other)
-            return ParamPoly(self.variables, {e: c * other for e, c in self.terms.items()})
+            if not other:
+                return ParamPoly._make(self.variables, {})
+            return ParamPoly._make(self.variables, {e: c * other for e, c in self.terms.items()})
         other = self._coerce(other)
         terms: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, Fraction(0)) + c1 * c2
+                e = tuple(map(operator.add, e1, e2))
+                s = terms.get(e, 0) + c1 * c2
                 if s:
                     terms[e] = s
                 else:
-                    terms.pop(e, None)
-        return ParamPoly(self.variables, terms)
+                    del terms[e]
+        return ParamPoly._make(self.variables, terms)
 
     __rmul__ = __mul__
 
@@ -397,32 +408,78 @@ def solve_in_span(target: Sequence[Fraction], basis: Sequence[Sequence[Fraction]
 
 def _lift(entry, variables) -> ParamPoly:
     if isinstance(entry, ParamPoly):
+        if entry.variables != variables:
+            raise ValueError("parameter polynomials over different variable lists")
         return entry
     return ParamPoly.constant(variables, entry)
 
 
-def _det(grid) -> ParamPoly:
-    n = len(grid)
-    if n == 1:
-        return grid[0][0]
-    total = None
-    for j in range(n):
-        if not grid[0][j]:
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in grid[1:]]
-        term = grid[0][j] * _det(minor)
-        if j % 2:
-            term = -term
-        total = term if total is None else total + term
-    if total is None:
-        return ParamPoly(grid[0][0].variables, {})
-    return total
+class _MinorTable:
+    """Minors of one matrix, with the sub-minors they share computed once.
+
+    Each row is lifted once and scaled by the lcm of its coefficients'
+    denominators, so every cell is a polynomial with int coefficients.
+    det(rows, cols) expands along the last chosen column, and the
+    (k-1)-minors it needs are memoized on (rows, cols), so row and column
+    subsets share them.  Scaling row r by s_r scales any minor on r by
+    s_r, so `minor` divides by the product of its rows' scales.
+    """
+
+    __slots__ = ("variables", "cells", "scales", "_memo")
+
+    def __init__(self, entries, variables):
+        self.variables = variables
+        self.cells = []
+        self.scales = []
+        for row in entries:
+            lifted = [_lift(e, variables).terms for e in row]
+            scale = math.lcm(*(c.denominator for terms in lifted for c in terms.values()))
+            self.cells.append([{e: c.numerator * (scale // c.denominator) for e, c in t.items()} for t in lifted])
+            self.scales.append(scale)
+        self._memo: Dict = {}
+
+    def _expand(self, rows: tuple, cols: tuple) -> Dict:
+        """Integer det of the scaled rows on cols, by Laplace expansion along cols[-1]."""
+        last, rest = cols[-1], cols[:-1]
+        total: Dict = {}
+        for i, r in enumerate(rows):
+            entry = self.cells[r][last]
+            if not entry:
+                continue
+            sub = self._subminor(rows[:i] + rows[i + 1 :], rest)
+            sign = -1 if (i + len(rows) - 1) % 2 else 1
+            for e1, c1 in entry.items():
+                c1 *= sign
+                for e2, c2 in sub.items():
+                    e = tuple(map(operator.add, e1, e2))
+                    s = total.get(e, 0) + c1 * c2
+                    if s:
+                        total[e] = s
+                    else:
+                        del total[e]
+        return total
+
+    def _subminor(self, rows: tuple, cols: tuple) -> Dict:
+        if len(rows) == 1:
+            return self.cells[rows[0]][cols[0]]
+        key = (rows, cols)
+        hit = self._memo.get(key)
+        if hit is None:
+            hit = self._memo[key] = self._expand(rows, cols)
+        return hit
+
+    def minor(self, rows: tuple, cols: tuple) -> ParamPoly:
+        """det of the (rows, cols) submatrix of the original entries."""
+        ints = self._expand(rows, cols) if len(rows) > 1 else self.cells[rows[0]][cols[0]]
+        den = math.prod(self.scales[r] for r in rows)
+        return ParamPoly._make(self.variables, {e: Fraction(c, den) for e, c in ints.items()})
 
 
 def parametric_minors(m: ExactMatrix, order: int):
     """All order x order minors, row-major over index subsets, as ParamPoly.
 
     Row subsets vary slowest; each minor is expanded to canonical form.
+    The minors share one table of sub-minors (see `_MinorTable`).
     """
     if order == 0:
         raise ValueError("empty minor order")
@@ -436,10 +493,9 @@ def parametric_minors(m: ExactMatrix, order: int):
                 break
         if variables:
             break
-    lifted = [[_lift(e, variables) for e in row] for row in m.entries]
-    minors = []
-    for rows in itertools.combinations(range(m.rows), order):
-        for cols in itertools.combinations(range(m.cols), order):
-            sub = [[lifted[i][j] for j in cols] for i in rows]
-            minors.append(_det(sub))
-    return minors
+    table = _MinorTable(m.entries, variables)
+    return [
+        table.minor(rows, cols)
+        for rows in itertools.combinations(range(m.rows), order)
+        for cols in itertools.combinations(range(m.cols), order)
+    ]

@@ -3,8 +3,9 @@
 Everything here deliberately avoids the package's rewriting and elimination
 machinery: straightening is done by explicit adjacent transpositions on the
 ordered monomial basis of the skew ring, ranks come from a local row
-reduction with a right-to-left pivot order, and `naive_reduce` rewrites by
-re-sorting every term and scanning every leading word at each step.
+reduction with a right-to-left pivot order, `naive_reduce` rewrites by
+re-sorting every term and scanning every leading word at each step, and
+`leibniz_det` sums over permutations with its own polynomial arithmetic.
 """
 
 import itertools
@@ -162,3 +163,31 @@ def naive_reduce(p, basis):
             else:
                 terms.pop(nw, None)
     return NcPoly(terms)
+
+
+def leibniz_det(grid, nvars):
+    """Determinant of a square matrix of ParamPoly or scalar entries, as exponent -> Fraction.
+
+    The Leibniz formula: a signed sum over all permutations of products of
+    one entry per row, with the sign read off the inversion count and the
+    polynomials kept as plain dicts.
+    """
+    size = len(grid)
+    cells = [
+        [dict(e.terms) if hasattr(e, "terms") else ({(0,) * nvars: Fraction(e)} if e else {}) for e in row]
+        for row in grid
+    ]
+    total = {}
+    for perm in itertools.permutations(range(size)):
+        inversions = sum(1 for a in range(size) for b in range(a + 1, size) if perm[a] > perm[b])
+        product = {(0,) * nvars: Fraction(-1 if inversions % 2 else 1)}
+        for row, col in enumerate(perm):
+            nxt = {}
+            for e1, c1 in product.items():
+                for e2, c2 in cells[row][col].items():
+                    e = tuple(x + y for x, y in zip(e1, e2))
+                    nxt[e] = nxt.get(e, Fraction(0)) + c1 * c2
+            product = nxt
+        for e, c in product.items():
+            total[e] = total.get(e, Fraction(0)) + c
+    return {e: c for e, c in total.items() if c}

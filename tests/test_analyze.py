@@ -19,11 +19,12 @@ from skewclifford.analyze import (
     verify_twist_from_gsca,
     verify_twist_theorem,
 )
+from skewclifford.exact import ParamPoly
 from skewclifford.freealg import NcPoly
 from skewclifford.rewrite import DegreeBoundError, groebner, normal_form
 from skewclifford.twist import DiagonalAutomorphism, mu_from_lambdas
 
-from conftest import NONZERO_SMALL, example21_matrices, example21_mu, random_gca, random_mu
+from conftest import NONZERO_SMALL, example21_matrices, example21_mu, random_gca, random_mu, random_mu_symmetric
 
 
 def quantum_pair():
@@ -203,6 +204,79 @@ class TestNormalLocus:
     def test_default_grid_shape(self):
         grid = default_grid(2, 1)
         assert len(grid) == 8 and (0, 0) not in grid
+
+    @pytest.mark.parametrize("radius", [0, -1])
+    def test_default_grid_rejects_radius_below_one(self, radius):
+        with pytest.raises(ValueError, match="radius"):
+            default_grid(2, radius)
+
+
+def element_at(point, gens):
+    a = NcPoly.zero()
+    for c, g in zip(point, gens):
+        a = a + g.scale(c)
+    return a
+
+
+def seeded_gsca(seed, n, mu_values):
+    """A GSCA whose off-diagonal mu entries are drawn from mu_values, and random mu-symmetric forms."""
+    rng = random.Random(seed)
+    while True:
+        grid = [[Fraction(1)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                v = Fraction(rng.choice(mu_values))
+                grid[i][j], grid[j][i] = v, 1 / v
+        mu = sk.validate_mu(grid)
+        try:
+            return sk.build_gsca(mu, [random_mu_symmetric(rng, mu) for _ in range(n)])
+        except ValueError:
+            continue
+
+
+class TestLocusPointVerdicts:
+    """Every point verdict equals is_normal at that point, which the locus no longer calls."""
+
+    def verdicts_match(self, gb, gens, side, grid, monkeypatch):
+        """Run the locus with is_normal counted (monkeypatch is undone after it), then compare."""
+        calls = []
+        monkeypatch.setattr(analyze_module, "is_normal", lambda *a, **k: calls.append(a) or is_normal(*a, **k))
+        report = normal_locus_in_span(gb, gens, side, grid)
+        monkeypatch.undo()
+        assert calls == []
+        kinds = set()
+        for p in report.points:
+            expected = is_normal(element_at(p.point, gens), gb, side)
+            assert p.normal == expected.normal, p.point
+            kinds.add((p.certificate is not None, expected.witness[0] if expected.witness else None))
+        return kinds
+
+    def test_worked_example_radius_two(self, ex21, monkeypatch):
+        _, _, pres, gb = ex21
+        y = pres.y_normal_forms(gb)
+        products = []
+        original = ParamPoly.__mul__
+        monkeypatch.setattr(ParamPoly, "__mul__", lambda a, b: products.append(1) or original(a, b))
+        kinds = self.verdicts_match(gb, y, y, default_grid(3, 2), monkeypatch)
+        assert len(products) == 0  # the minor table multiplies int dicts, not ParamPoly
+        assert kinds == {(True, "left"), (False, None)}
+
+    def test_seeded_gscas(self, monkeypatch):
+        kinds = set()
+        x = [NcPoly.generator(i) for i in range(3)]
+        for pres in [seeded_gsca(seed, 3, NONZERO_SMALL) for seed in range(3)] + [random_gca(random.Random(5))]:
+            gb = pres.groebner(6)
+            y = pres.y_normal_forms(gb)
+            kinds |= self.verdicts_match(gb, y, y, default_grid(3, 1), monkeypatch)
+            kinds |= self.verdicts_match(gb, y, x, default_grid(3, 1), monkeypatch)
+        # mu entries +-1 leave points where every minor vanishes and yet a is
+        # not normal, failing either containment
+        for n, seed in ((2, 30), (2, 33), (2, 40), (3, 53)):
+            pres = seeded_gsca(seed, n, (1, -1, 1, -1, 2, Fraction(1, 2)))
+            gb = pres.groebner(2 * n + 2)
+            y = pres.y_normal_forms(gb)
+            kinds |= self.verdicts_match(gb, y, y, default_grid(n, 1), monkeypatch)
+        assert kinds == {(True, "left"), (False, None), (False, "left"), (False, "right")}
 
 
 class TestRElements:

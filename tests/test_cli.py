@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 from importlib import resources
@@ -131,6 +132,12 @@ class TestEmitReport:
 
 
 class TestMain:
+    @pytest.mark.parametrize("radius", ["0", "-1"])
+    def test_grid_below_one_is_an_error(self, radius, capsys):
+        assert main(["normal-locus", fixture_path("example21.json"), "--grid", radius]) == 2
+        captured = capsys.readouterr()
+        assert "--grid" in captured.err and captured.out == ""
+
     def test_exit_codes(self, capsys):
         ex = fixture_path("example21.json")
         assert main(["regular", ex, "--max-deg", "7"]) == 0
@@ -192,3 +199,26 @@ class TestFixtureCorpus:
             code = main(args)
             assert code in (0, 1), f"{command} on {name} errored with {code}"
             capsys.readouterr()
+
+
+# sha256 prefixes of each fixture's normal-locus JSON report with timing_ms
+# dropped, as json.dumps(..., sort_keys=True): the reports must not drift
+LOCUS_DIGESTS = {
+    ("diag2.json", 1): "bcd648c43fcc8220",
+    ("diag2.json", 2): "7b6e0e51528a90dd",
+    ("diag3.json", 1): "3a9c2a6fe74ce564",
+    ("diag3.json", 2): "fa082d5b7459752f",
+    ("example21.json", 1): "15020ccde1e29cdf",
+    ("example21.json", 2): "3f831bb763041039",
+    ("qplane3.json", 1): "9cc30729ce0d8f0e",
+    ("qplane3.json", 2): "f6c7171467728198",
+}
+
+
+@pytest.mark.parametrize(("name", "radius"), sorted(LOCUS_DIGESTS))
+def test_normal_locus_report_digest(name, radius, capsys):
+    assert main(["normal-locus", fixture_path(name), "--grid", str(radius), "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    report.pop("timing_ms")
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode("utf-8")).hexdigest()
+    assert digest[:16] == LOCUS_DIGESTS[(name, radius)]

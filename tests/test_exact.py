@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from skewclifford.exact import (
 )
 
 from conftest import example21_matrices, example21_mu
-from oracles import local_rank
+from oracles import leibniz_det, local_rank
 
 
 class TestScalars:
@@ -231,6 +232,11 @@ class TestParametricMinors:
         with pytest.raises(ValueError, match="empty minor order"):
             parametric_minors(ExactMatrix.identity(2), 0)
 
+    def test_mixed_variable_lists_rejected(self):
+        other = ParamPoly.variable(("d1",), "d1")
+        with pytest.raises(ValueError, match="different variable lists"):
+            parametric_minors(ExactMatrix([[self.c("c1"), Fraction(1)], [other, self.c("c2")]]), 2)
+
     def test_specialization_commutes(self):
         rng = random.Random(99)
         variables = ("c1", "c2", "c3")
@@ -254,3 +260,45 @@ class TestParametricMinors:
             symbolic = [p.evaluate(point) for p in parametric_minors(m, order)]
             direct = [p.evaluate([]) for p in parametric_minors(m.specialize(point), order)]
             assert symbolic == direct
+
+
+def rational_matrices():
+    """Matrices of linear and constant ParamPoly or plain entries over non-integer rationals.
+
+    Some rows are all zero, and the minor order ranges below min(rows, cols)
+    so that several column subsets occur.
+    """
+    coeff = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3, 5]))
+    variables = ("c1", "c2")
+    exps = ((0, 0), (1, 0), (0, 1))
+    poly = st.lists(coeff, min_size=3, max_size=3).map(lambda cs: ParamPoly(variables, dict(zip(exps, cs))))
+    entry = st.one_of(poly, coeff)
+
+    def matrix(shape):
+        nrows, ncols = shape
+        rows = st.lists(
+            st.one_of(st.just([Fraction(0)] * ncols), st.lists(entry, min_size=ncols, max_size=ncols)),
+            min_size=nrows,
+            max_size=nrows,
+        )
+        return st.tuples(rows, st.integers(1, min(nrows, ncols)))
+
+    return st.tuples(st.integers(1, 5), st.integers(1, 4)).flatmap(matrix)
+
+
+class TestMinorTable:
+    @PROPERTY
+    @given(rational_matrices())
+    def test_matches_leibniz_in_row_major_order(self, data):
+        rows, order = data
+        m = ExactMatrix(rows)
+        minors = parametric_minors(m, order)
+        nvars = 2 if any(isinstance(e, ParamPoly) for row in rows for e in row) else 0
+        expected = [
+            leibniz_det([[rows[i][j] for j in cols] for i in rsub], nvars)
+            for rsub in itertools.combinations(range(m.rows), order)
+            for cols in itertools.combinations(range(m.cols), order)
+        ]
+        assert [p.terms for p in minors] == expected
+        for p in minors:
+            assert all(type(c) is Fraction for c in p.terms.values())
