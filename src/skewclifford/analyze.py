@@ -254,7 +254,7 @@ def normal_locus_in_span(
             if c:
                 exp = tuple(1 if t == k else 0 for t in range(m))
                 terms[exp] = c
-        return ParamPoly(variables, terms)
+        return ParamPoly._make(variables, terms)
 
     minors: List[MinorRecord] = []
     for side_name in ("left", "right"):

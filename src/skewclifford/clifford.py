@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exact import ExactMatrix, rank, rref
+from .exact import rref
 from .freealg import NcPoly, poly_str, word_key
 from .rewrite import GroebnerData, PresentedAlgebra, finite_dim_check, groebner, hilbert_coeffs, normal_form
 
@@ -235,13 +235,14 @@ def build_gsca(mu: MuMatrix, matrices: Sequence[MuSymmetricMatrix]) -> CliffordP
             raise ValueError("matrix attached to a different mu")
     pairs = _pair_index(n)
     coeff_rows = [[matrices[k][i, j] for k in range(n)] for (i, j) in pairs]
-    if rank(ExactMatrix(coeff_rows)) < n:
-        raise ValueError(
-            "matrices linearly dependent: the y generators are not expressible in the degree-two span"
-        )
     npairs = len(pairs)
     aug = [coeff_rows[r] + [Fraction(1) if c == r else Fraction(0) for c in range(npairs)] for r in range(npairs)]
     reduced, pivots = rref(aug)
+    # the first n columns of the reduced form reduce the coefficient matrix
+    if pivots[:n] != list(range(n)):
+        raise ValueError(
+            "matrices linearly dependent: the y generators are not expressible in the degree-two span"
+        )
     exprs = {(i, j): _pair_expression(mu, i, j) for (i, j) in pairs}
     y_expressions = {}
     x_relations = []

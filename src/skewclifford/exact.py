@@ -1,4 +1,4 @@
-"""Exact rational scalars, parameter polynomials, dense exact linear algebra and a sparse echelon kernel."""
+"""Exact rational scalars, parameter polynomials, a sparse echelon kernel (with `rank` and `rref` on it) and parametric minors."""
 
 from __future__ import annotations
 
@@ -240,63 +240,6 @@ class ExactMatrix:
         return f"ExactMatrix({self.rows}x{self.cols})"
 
 
-def rank(m: ExactMatrix) -> int:
-    """Exact rank over the rationals, by fraction-free (Bareiss) elimination.
-
-    Rows are first scaled to integers; row scaling does not change rank.
-    """
-    work = []
-    for row in m.entries:
-        fr = [Fraction(e) for e in row]
-        den = math.lcm(*(e.denominator for e in fr)) if fr else 1
-        work.append([int(e * den) for e in fr])
-    nrows, ncols = m.rows, m.cols
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if work[i][c] != 0), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        for i in range(r + 1, nrows):
-            for j in range(c + 1, ncols):
-                work[i][j] = (work[r][c] * work[i][j] - work[i][c] * work[r][j]) // prev
-            work[i][c] = 0
-        prev = work[r][c]
-        r += 1
-        if r == nrows:
-            break
-    return r
-
-
-def rref(rows: Sequence[Sequence[Fraction]]):
-    """Reduced row echelon form with first-pivot preference.
-
-    Returns (new_rows, pivot_columns); deterministic for a given input.
-    """
-    work = [list(map(Fraction, row)) for row in rows]
-    nrows = len(work)
-    ncols = len(work[0]) if work else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if work[i][c] != 0), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        inv = 1 / work[r][c]
-        work[r] = [e * inv for e in work[r]]
-        for i in range(nrows):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return work, pivots
-
-
 def _sparse(vec) -> Dict:
     """Nonzero entries of a dense sequence or a column -> value mapping."""
     items = vec.items() if isinstance(vec, Mapping) else enumerate(vec)
@@ -389,6 +332,47 @@ class Echelon:
         if self._eliminate(_sparse(vec), combo):
             return None
         return tuple(Fraction(combo.get(t, 0)) for t in range(size))
+
+
+def rank(m: ExactMatrix) -> int:
+    """Exact rank over the rationals: the number of rows an `Echelon` accepts."""
+    ech = Echelon()
+    for row in m.entries:
+        ech.add(row)
+    return len(ech)
+
+
+def rref(rows: Sequence[Sequence[Fraction]]):
+    """Reduced row echelon form with first-pivot preference.
+
+    Returns (new_rows, pivot_columns): the nonzero rows in pivot order, then
+    zero rows up to the input's row count.  The rows are those of an
+    `Echelon`, cleared above each pivot by back-substitution; the reduced
+    form is unique, so it is the one Gauss-Jordan elimination gives.
+    """
+    ncols = len(rows[0]) if rows else 0
+    ech = Echelon()
+    for row in rows:
+        ech.add(row)
+    pivots = sorted(ech.rows)
+    reduced: Dict = {}
+    for p in reversed(pivots):
+        # rows with larger pivots are already reduced, so each subtraction
+        # clears one pivot column and fills no other
+        row = dict(ech.rows[p])
+        for q in [col for col in row if col in reduced]:
+            f = row[q]
+            for col, v in reduced[q].items():
+                new = row.get(col, 0) - f * v
+                if new:
+                    row[col] = new
+                else:
+                    del row[col]
+        reduced[p] = row
+    zero = Fraction(0)
+    out = [[reduced[p].get(col, zero) for col in range(ncols)] for p in pivots]
+    out.extend([zero] * ncols for _ in range(len(rows) - len(pivots)))
+    return out, pivots
 
 
 def solve_in_span(target: Sequence[Fraction], basis: Sequence[Sequence[Fraction]]):

@@ -68,11 +68,15 @@ class NcPoly:
     def __add__(self, other: "NcPoly") -> "NcPoly":
         terms = dict(self.terms)
         for w, c in other.terms.items():
-            s = terms.get(w, Fraction(0)) + c
-            if s:
-                terms[w] = s
+            old = terms.get(w)
+            if old is None:
+                terms[w] = c
             else:
-                terms.pop(w, None)
+                s = old + c
+                if s:
+                    terms[w] = s
+                else:
+                    del terms[w]
         out = NcPoly.__new__(NcPoly)
         out.terms = terms
         return out
@@ -92,11 +96,15 @@ class NcPoly:
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 w = w1 + w2
-                s = terms.get(w, Fraction(0)) + c1 * c2
-                if s:
-                    terms[w] = s
+                old = terms.get(w)
+                if old is None:
+                    terms[w] = c1 * c2
                 else:
-                    terms.pop(w, None)
+                    s = old + c1 * c2
+                    if s:
+                        terms[w] = s
+                    else:
+                        del terms[w]
         out = NcPoly.__new__(NcPoly)
         out.terms = terms
         return out

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import bisect
 import heapq
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Union
 
 from .freealg import MAX_GENERATORS, NcPoly, Word, word_key
@@ -59,8 +61,10 @@ class _LeadIndex:
     when several share a leading word) and `lengths` lists the distinct
     leading-word lengths in increasing order, so the smallest leading word
     at a position is found by hashing one slice per length.  `_tails` holds
-    each rule's other words with their negated coefficients, None for 1,
-    so that a rewrite multiplies only where it must.
+    each rule as (s, tail): s is the lcm of the denominators of its other
+    coefficients, and tail lists its other words with their negated
+    coefficients times s, as ints, so the leading word equals
+    sum(t * word for word, t in tail) / s.
     """
 
     __slots__ = ("by_lead", "lengths", "_length_counts", "_tails")
@@ -78,7 +82,9 @@ class _LeadIndex:
     def add(self, lw: Word, g: NcPoly) -> None:
         """Index g under its leading word lw, which must be new to the index."""
         self.by_lead[lw] = g
-        self._tails[lw] = tuple((w, None if c == -1 else -c) for w, c in g.terms.items() if w != lw)
+        rest = [(w, c) for w, c in g.terms.items() if w != lw]
+        scale = math.lcm(*[c.denominator for _, c in rest])
+        self._tails[lw] = (scale, tuple((w, -c.numerator * (scale // c.denominator)) for w, c in rest))
         count = self._length_counts.get(len(lw), 0)
         self._length_counts[len(lw)] = count + 1
         if not count:
@@ -94,7 +100,7 @@ class _LeadIndex:
             self.lengths.remove(len(lw))
 
     def match(self, w: Word):
-        """(position, length, tail) of the leftmost, smallest rule matching w, or None."""
+        """(position, length, (s, tail)) of the leftmost, smallest rule matching w, or None."""
         get = self._tails.get
         lengths = self.lengths
         n = len(w)
@@ -124,12 +130,24 @@ def reduce_poly(p: NcPoly, basis: Union[Sequence[NcPoly], _LeadIndex]) -> NcPoly
     matching leading word (the first listed, among equal leading words).
     A rewrite replaces a word by deglex-smaller ones, so words are taken
     off a max-heap, and a word found irreducible is final.
+
+    The arithmetic is fraction-free: live terms are int numerators over one
+    running denominator den.  Rewriting c*w by a rule (s, tail) adds
+    (c/g)*t for each tail entry t, where g = gcd(c, s), after every live
+    numerator and den are multiplied by s/g.  A word found irreducible
+    leaves as the exact Fraction c/den.
     """
     rules = basis if isinstance(basis, _LeadIndex) else _LeadIndex(basis)
     if not rules.by_lead:
         return p
     match = rules.match
-    terms = dict(p.terms)
+    gcd = math.gcd
+    # lcm of a list, not of a generator: unpacking a generator builds the
+    # argument tuple by resizing one of a guessed size, so every call takes a
+    # tuple from one size's free list and returns it to another's, and those
+    # lists fill up and hold memory (about 1 MB over a few hundred jobs)
+    den = math.lcm(*[c.denominator for c in p.terms.values()])
+    terms = {w: c.numerator * (den // c.denominator) for w, c in p.terms.items()}
     heap = [(_descending(w), w) for w in terms]
     heapq.heapify(heap)
     done = {}
@@ -140,12 +158,20 @@ def reduce_poly(p: NcPoly, basis: Union[Sequence[NcPoly], _LeadIndex]) -> NcPoly
             continue  # cancelled since it was queued
         hit = match(w)
         if hit is None:
-            done[w] = c
+            done[w] = Fraction(c, den)
             continue
-        pos, L, tail = hit
+        pos, L, (scale, tail) = hit
+        if scale != 1:
+            g = gcd(c, scale)
+            k = scale // g
+            if k != 1:
+                den *= k
+                for live in terms:
+                    terms[live] *= k
+            c //= g
         left, right = w[:pos], w[pos + L :]
-        for gw, factor in tail:
-            d = c if factor is None else c * factor
+        for gw, t in tail:
+            d = c * t
             nw = left + gw + right
             old = terms.get(nw)
             if old is None:
@@ -291,6 +317,25 @@ def _obstructions(by_lead: Dict[Word, NcPoly], degree: int):
     return [(u[: len(u) - ell], by_lead[u], by_lead[v], v[ell:]) for _, ell, u, v in obs]
 
 
+def _s_polynomial(a: Word, f: NcPoly, g: NcPoly, b: Word) -> NcPoly:
+    """f*b - a*g, formed by shifting the words of f and g."""
+    terms = {w + b: c for w, c in f.terms.items()}
+    for w, c in g.terms.items():
+        w = a + w
+        old = terms.get(w)
+        if old is None:
+            terms[w] = -c
+        else:
+            s = old - c
+            if s:
+                terms[w] = s
+            else:
+                del terms[w]
+    out = NcPoly.__new__(NcPoly)
+    out.terms = terms
+    return out
+
+
 def groebner(alg: PresentedAlgebra, max_degree: int) -> GroebnerData:
     """Resolve all overlap obstructions of degree <= max_degree.
 
@@ -306,8 +351,7 @@ def groebner(alg: PresentedAlgebra, max_degree: int) -> GroebnerData:
         for a, f, g, b in _obstructions(rules.by_lead, d):
             # Stale pairs (f or g replaced by interreduction) still yield
             # ideal members, so reducing them is sound either way.
-            s = f * NcPoly.word(b) - NcPoly.word(a) * g
-            h = reduce_poly(s, rules)
+            h = reduce_poly(_s_polynomial(a, f, g, b), rules)
             if h:
                 _interreduce(rules, [h])
     elements = [rules.by_lead[lw] for lw in sorted(rules.by_lead, key=word_key)]

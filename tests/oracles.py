@@ -3,7 +3,8 @@
 Everything here deliberately avoids the package's rewriting and elimination
 machinery: straightening is done by explicit adjacent transpositions on the
 ordered monomial basis of the skew ring, ranks come from a local row
-reduction with a right-to-left pivot order, `naive_reduce` rewrites by
+reduction with a right-to-left pivot order, `naive_rref` is dense
+Gauss-Jordan elimination over whole rows, `naive_reduce` rewrites by
 re-sorting every term and scanning every leading word at each step, and
 `leibniz_det` sums over permutations with its own polynomial arithmetic.
 """
@@ -61,6 +62,35 @@ def local_rank(rows):
         if r == len(work):
             break
     return r
+
+
+def naive_rref(rows):
+    """Reduced row echelon form by dense Gauss-Jordan elimination, left-to-right pivots.
+
+    Returns (rows, pivot columns): the pivot rows in pivot order, then the
+    zero rows the elimination leaves, all as lists of Fractions.
+    """
+    work = [list(map(Fraction, row)) for row in rows]
+    nrows = len(work)
+    ncols = len(work[0]) if work else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if work[i][c] != 0), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        inv = 1 / work[r][c]
+        work[r] = [e * inv for e in work[r]]
+        for i in range(nrows):
+            if i != r and work[i][c]:
+                f = work[i][c]
+                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return work, pivots
 
 
 def free_quotient_dims(n, relation_terms, through):

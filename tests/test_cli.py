@@ -1,10 +1,15 @@
 import hashlib
 import json
+import os
+import re
+import subprocess
+import sys
 from fractions import Fraction
 from importlib import resources
 
 import pytest
 
+import skewclifford
 from skewclifford.cli import Flags, Report, SpecFileError, dispatch, emit_report, main, parse_spec
 
 
@@ -222,3 +227,58 @@ def test_normal_locus_report_digest(name, radius, capsys):
     report.pop("timing_ms")
     digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode("utf-8")).hexdigest()
     assert digest[:16] == LOCUS_DIGESTS[(name, radius)]
+
+
+# sha256 prefixes of each fixture's quotient dim, gb and hilbert JSON reports,
+# timing_ms dropped, as json.dumps(..., sort_keys=True)
+QUOTIENT_DIGESTS = {
+    ("dim", "diag2.json"): "2a47f38006023f69",
+    ("gb", "diag2.json"): "13cb3276405fe5fd",
+    ("hilbert", "diag2.json"): "f74c8f92365c9829",
+    ("dim", "diag3.json"): "38878eb2672f7aef",
+    ("gb", "diag3.json"): "4cd1e21130110fbb",
+    ("hilbert", "diag3.json"): "0ef5f31209f19533",
+    ("dim", "example21.json"): "08619473db009ce2",
+    ("gb", "example21.json"): "7dc5555c3a6b0e71",
+    ("hilbert", "example21.json"): "24691bc57c805dfd",
+    ("dim", "qplane3.json"): "ca4d3d9623bd76be",
+    ("gb", "qplane3.json"): "e48d58b06b20df0d",
+    ("hilbert", "qplane3.json"): "a7e71012b6299871",
+}
+
+
+@pytest.mark.parametrize(("command", "name"), sorted(QUOTIENT_DIGESTS))
+def test_quotient_report_digest(command, name, capsys):
+    assert main([command, fixture_path(name), "--algebra", "quotient", "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    report.pop("timing_ms")
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode("utf-8")).hexdigest()
+    assert digest[:16] == QUOTIENT_DIGESTS[(command, name)]
+
+
+# an n=4 GSCA with fractional mu and forms, whose quotient basis has 18 elements
+HASHSEED_SPEC = {
+    "n": 4,
+    "kind": "gsca",
+    "mu": [["1", "1/2", "-1/2", "-3/2"], ["2", "1", "2", "2/3"], ["-2", "1/2", "1", "-2"], ["-2/3", "3/2", "-1/2", "1"]],
+    "forms": [
+        [["1", "-1", "-2", "0"], ["-2", "0", "-1", "0"], ["4", "-1/2", "1", "-2"], ["0", "0", "1", "1"]],
+        [["0", "0", "0", "0"], ["0", "-1", "-2", "2"], ["0", "-1", "-1", "0"], ["0", "3", "0", "0"]],
+        [["0", "0", "0", "0"], ["0", "0", "0", "0"], ["0", "0", "3", "0"], ["0", "0", "0", "-1"]],
+        [["0", "0", "0", "0"], ["0", "0", "0", "0"], ["0", "0", "0", "0"], ["0", "0", "0", "2"]],
+    ],
+}
+
+
+def test_quotient_gb_report_is_independent_of_the_hash_seed(tmp_path):
+    path = tmp_path / "gsca4.json"
+    path.write_text(json.dumps(HASHSEED_SPEC))
+    package_root = os.path.dirname(os.path.dirname(skewclifford.__file__))
+    outputs = []
+    for seed in ("0", "12345"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": package_root}
+        argv = [sys.executable, "-m", "skewclifford.cli", "gb", str(path), "--algebra", "quotient", "--format", "json"]
+        done = subprocess.run(argv, env=env, capture_output=True, check=True)
+        outputs.append(re.sub(rb'"timing_ms": [^,\n]+', b'"timing_ms": T', done.stdout))
+    assert b'"count": 18' in outputs[0]
+    assert outputs[0] == outputs[1]

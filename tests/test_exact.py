@@ -13,12 +13,13 @@ from skewclifford.exact import (
     parametric_minors,
     parse_scalar,
     rank,
+    rref,
     scalar_str,
     solve_in_span,
 )
 
 from conftest import example21_matrices, example21_mu
-from oracles import leibniz_det, local_rank
+from oracles import leibniz_det, local_rank, naive_rref
 
 
 class TestScalars:
@@ -172,6 +173,35 @@ class TestEchelon:
         assert ech.solve([0, 0], 0) == ()
         with pytest.raises(ValueError, match="without a tag"):
             ech.solve([1, 0], 0)
+
+
+@st.composite
+def low_rank_matrices(draw):
+    """Rows that are combinations of at most min(rows, cols) base rows: wide, tall, rank-deficient, zero rows."""
+    entry = st.sampled_from([Fraction(v) for v in (0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 7), Fraction(5, 11))])
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    bases = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=min(nrows, ncols)))
+    rows = []
+    for _ in range(nrows):
+        weights = draw(st.lists(st.sampled_from((0, 0, 1, -2, Fraction(1, 3))), min_size=len(bases), max_size=len(bases)))
+        rows.append([sum((w * b[c] for w, b in zip(weights, bases)), Fraction(0)) for c in range(ncols)])
+    return rows
+
+
+class TestRref:
+    @PROPERTY
+    @given(low_rank_matrices())
+    def test_rref_and_rank_match_the_oracles(self, rows):
+        reduced, pivots = rref(rows)
+        assert (reduced, pivots) == naive_rref(rows)
+        assert all(type(e) is Fraction for row in reduced for e in row)
+        assert rank(ExactMatrix(rows)) == local_rank(rows)
+
+    def test_shapes(self):
+        assert rref([]) == ([], [])
+        assert rref([[0, 0], [0, 0]]) == ([[0, 0], [0, 0]], [])
+        # back-substitution clears the first row above the second pivot
+        assert rref([[1, 2, 3], [2, 4, 7], [0, 0, 1]]) == ([[1, 2, 0], [0, 0, 1], [0, 0, 0]], [0, 2])
 
 
 class TestSolveInSpan:

@@ -26,6 +26,10 @@ from oracles import free_quotient_dims, naive_reduce, skew_quotient_dims
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 COEFFS = st.sampled_from([Fraction(v) for v in (1, 2, 3, -1, -2, Fraction(1, 2), Fraction(-2, 3))])
+# large, coprime denominators, so most rewrites rescale the running denominator
+COPRIME = st.sampled_from(
+    [Fraction(v) for v in (1, -4, Fraction(3, 7), Fraction(-5, 11), Fraction(2, 13), Fraction(9, 77), Fraction(-1, 143), Fraction(6, 91))]
+)
 
 
 def skew_ring_21():
@@ -53,14 +57,14 @@ def triangular_gca_quotient(seed, n):
     return PresentedAlgebra(n, rels)
 
 
-def _polys(n, lo, hi, max_terms, min_terms=0):
+def _polys(n, lo, hi, max_terms, min_terms=0, coeffs=COEFFS):
     """Terms on words of length lo..hi (repeated words keep the last coefficient)."""
     word = st.lists(st.integers(0, n - 1), min_size=lo, max_size=hi).map(tuple)
-    return st.lists(st.tuples(word, COEFFS), min_size=min_terms, max_size=max_terms).map(lambda t: NcPoly(dict(t)))
+    return st.lists(st.tuples(word, coeffs), min_size=min_terms, max_size=max_terms).map(lambda t: NcPoly(dict(t)))
 
 
 @st.composite
-def reduction_problems(draw):
+def reduction_problems(draw, coeffs=COEFFS):
     """(p, monic basis): leading words may repeat, degrees mix, and rules need not be homogeneous.
 
     Such a basis is not confluent, so the remainder depends on the reduction
@@ -69,19 +73,19 @@ def reduction_problems(draw):
     n = draw(st.integers(2, 3))
     basis = []
     for _ in range(draw(st.integers(2, 5))):
-        g = draw(_polys(n, 1, 3, 4, min_terms=1)).monic()
+        g = draw(_polys(n, 1, 3, 4, min_terms=1, coeffs=coeffs)).monic()
         basis.append(g)
         if draw(st.booleans()):  # another rule for the same leading word
             lw = g.lead_word()
-            tail = draw(_polys(n, 0, len(lw), 3)).terms
+            tail = draw(_polys(n, 0, len(lw), 3, coeffs=coeffs)).terms
             basis.append(NcPoly({**{w: c for w, c in tail.items() if word_key(w) < word_key(lw)}, lw: 1}))
     order = draw(st.permutations(range(len(basis))))
-    p = draw(_polys(n, 2, 6, 4))
+    p = draw(_polys(n, 2, 6, 4, coeffs=coeffs))
     # a word holding two leading words, so that rules compete for positions
     gap = st.lists(st.integers(0, n - 1), max_size=1).map(tuple)
     i, j = draw(st.integers(0, len(basis) - 1)), draw(st.integers(0, len(basis) - 1))
     w = draw(gap) + basis[i].lead_word() + draw(gap) + basis[j].lead_word() + draw(gap)
-    p = p + NcPoly({w: draw(COEFFS)})
+    p = p + NcPoly({w: draw(coeffs)})
     return p, [basis[i] for i in order]
 
 
@@ -203,6 +207,16 @@ class TestReducePoly:
     def test_matches_the_naive_strategy_on_non_confluent_bases(self, problem):
         p, basis = problem
         assert reduce_poly(p, basis) == naive_reduce(p, basis)
+
+    @PROPERTY
+    @given(reduction_problems(COPRIME))
+    def test_exact_over_coprime_denominators(self, problem):
+        # a rescale multiplies the running denominator and every live
+        # numerator; the two must stay in step
+        p, basis = problem
+        out = reduce_poly(p, basis)
+        assert out == naive_reduce(p, basis)
+        assert all(type(c) is Fraction for c in out.terms.values())
 
     def test_strategy_rules(self):
         # x1*x2*x2 holds x1*x2 at position 0 and x2*x2 at position 1: the leftmost wins
