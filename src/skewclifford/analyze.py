@@ -282,7 +282,8 @@ def normal_locus_in_span(
     slot = {e: j for j, e in enumerate(monomials)}
     scaled_minors = []
     for record in minors:
-        den = math.lcm(*(c.denominator for c in record.poly.terms.values()))
+        # lcm of a list, not of a generator (see rewrite.reduce_poly)
+        den = math.lcm(*[c.denominator for c in record.poly.terms.values()])
         scaled_minors.append([(slot[e], c.numerator * (den // c.denominator)) for e, c in record.poly.terms.items()])
     zero_side = not all(side)
 

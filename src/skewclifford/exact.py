@@ -417,7 +417,8 @@ class _MinorTable:
         self.scales = []
         for row in entries:
             lifted = [_lift(e, variables).terms for e in row]
-            scale = math.lcm(*(c.denominator for terms in lifted for c in terms.values()))
+            # lcm of a list, not of a generator (see rewrite.reduce_poly)
+            scale = math.lcm(*[c.denominator for terms in lifted for c in terms.values()])
             self.cells.append([{e: c.numerator * (scale // c.denominator) for e, c in t.items()} for t in lifted])
             self.scales.append(scale)
         self._memo: Dict = {}

@@ -67,12 +67,11 @@ class _LeadIndex:
     sum(t * word for word, t in tail) / s.
     """
 
-    __slots__ = ("by_lead", "lengths", "_length_counts", "_tails")
+    __slots__ = ("by_lead", "lengths", "_tails")
 
     def __init__(self, basis: Sequence[NcPoly] = ()):
         self.by_lead: Dict[Word, NcPoly] = {}
         self.lengths: List[int] = []
-        self._length_counts: Dict[int, int] = {}
         self._tails: Dict[Word, tuple] = {}
         for g in basis:
             lw = g.lead_word()
@@ -80,24 +79,13 @@ class _LeadIndex:
                 self.add(lw, g)
 
     def add(self, lw: Word, g: NcPoly) -> None:
-        """Index g under its leading word lw, which must be new to the index."""
+        """Index g under its leading word lw, replacing any rule indexed there."""
         self.by_lead[lw] = g
         rest = [(w, c) for w, c in g.terms.items() if w != lw]
         scale = math.lcm(*[c.denominator for _, c in rest])
         self._tails[lw] = (scale, tuple((w, -c.numerator * (scale // c.denominator)) for w, c in rest))
-        count = self._length_counts.get(len(lw), 0)
-        self._length_counts[len(lw)] = count + 1
-        if not count:
+        if len(lw) not in self.lengths:
             bisect.insort(self.lengths, len(lw))
-
-    def remove(self, lw: Word) -> None:
-        del self.by_lead[lw]
-        del self._tails[lw]
-        count = self._length_counts.pop(len(lw)) - 1
-        if count:
-            self._length_counts[len(lw)] = count
-        else:
-            self.lengths.remove(len(lw))
 
     def match(self, w: Word):
         """(position, length, (s, tail)) of the leftmost, smallest rule matching w, or None."""
@@ -188,78 +176,27 @@ def reduce_poly(p: NcPoly, basis: Union[Sequence[NcPoly], _LeadIndex]) -> NcPoly
     return out
 
 
-def _occurs(lw: Word, g: NcPoly) -> bool:
-    """Whether some word of g has lw as a subword."""
-    if lw in g.terms:
-        return True
-    L = len(lw)
-    return any(
-        w[pos : pos + L] == lw for w in g.terms if len(w) > L for pos in range(len(w) - L + 1)
-    )
-
-
 def _interreduce(rules: _LeadIndex, polys: Sequence[NcPoly]) -> None:
-    """Adjoin polys to the inter-reduced rules and restore inter-reduction in place.
+    """Adjoin polys of one degree d to rules that are inter-reduced and final below d.
 
-    Each step is the one the fixed-point definition takes: replace the
-    smallest element (by leading word, then canonical key) that is
-    reducible modulo the others by its monic remainder, dropping zeros.
-    An element that is not queued is irreducible modulo the others, and it
-    is queued only when a new leading word occurs in one of its words.  For
-    homogeneous input a new element h occurs only in words of degree
-    >= deg h, so same-degree elements get a tail update and only longer
-    ones can lose their leading word.  Input relations may share a leading
-    word; the index then holds the smallest of them and the word stays
-    queued until the others are reduced.
+    Each p is reduced modulo the rules and, if nonzero, made monic as h.  No
+    element of lower degree has a word of degree d, and a word of degree d
+    holds lead(h) only by being it, so subtracting c*h from each rule that
+    has lead(h) with coefficient c keeps degree d in reduced echelon form.
+    Then h is indexed.
     """
     by_lead = rules.by_lead
-    dups: Dict[Word, List[NcPoly]] = {}  # the others sharing an indexed leading word, by canonical key
-    todo: List[tuple] = []
-    queued = set()
-
-    def queue(lw):
-        if lw not in queued:
-            queued.add(lw)
-            heapq.heappush(todo, (len(lw), lw))
-
-    def adjoin(g):
-        """Index g; returns its leading word.  Elements whose words contain a new leading word are queued."""
-        lw = g.lead_word()
-        if lw in by_lead:
-            group = sorted([by_lead[lw], *dups.get(lw, ()), g], key=NcPoly.canonical_key)
-            rules.remove(lw)
-            rules.add(lw, group[0])
-            dups[lw] = group[1:]
-            queue(lw)
-        else:
-            for other, h in by_lead.items():
-                if len(other) >= len(lw) and other not in queued and _occurs(lw, h):
-                    queue(other)
-            rules.add(lw, g)
-        return lw
-
     for p in polys:
-        if p:
-            queue(adjoin(p.monic()))
-    while todo:
-        lw = heapq.heappop(todo)[1]
-        queued.discard(lw)
-        g = by_lead.get(lw)
-        if g is None:
-            continue  # left since it was queued
-        rest = dups.pop(lw, None)
-        rules.remove(lw)
-        if rest:
-            rules.add(lw, rest[0])
-            if len(rest) > 1:
-                dups[lw] = rest[1:]
-            queue(lw)
-        elif all(rules.match(w) is None for w in g.terms):
-            rules.add(lw, g)  # irreducible: it stays
+        h = reduce_poly(p, rules)
+        if not h:
             continue
-        h = reduce_poly(g, rules)
-        if h:
-            adjoin(h.monic())  # irreducible modulo the others, so not queued
+        h = h.monic()
+        lw = h.lead_word()
+        for other, g in list(by_lead.items()):
+            c = g.terms.get(lw)
+            if c is not None:
+                rules.add(other, g - h.scale(c))
+        rules.add(lw, h)
 
 
 class GroebnerData:
@@ -339,21 +276,29 @@ def _s_polynomial(a: Word, f: NcPoly, g: NcPoly, b: Word) -> NcPoly:
 def groebner(alg: PresentedAlgebra, max_degree: int) -> GroebnerData:
     """Resolve all overlap obstructions of degree <= max_degree.
 
-    Obstructions are processed in (degree, word) order and every nonzero
-    reduced S-polynomial is adjoined monic; the basis is kept inter-reduced
-    throughout, so the output is canonical.
+    The basis is built one degree d at a time.  Relations are homogeneous,
+    so every element of lower degree is final when degree d starts.  Degree
+    d adjoins its relations, then the nonzero remainders of its
+    S-polynomials in (word, overlap) order, each through `_interreduce`.
+    Through max_degree the output is the reduced Groebner basis truncated
+    there, which is canonical.  A degree above max_degree that holds a
+    relation is not complete: its elements are the relations of that
+    degree, reduced modulo all lower-degree elements, in reduced echelon
+    form.
     """
     if max_degree < 2:
         raise ValueError("max_degree must be >= 2")
+    by_degree: Dict[int, List[NcPoly]] = {}
+    for r in alg.relations:
+        by_degree.setdefault(len(r.lead_word()), []).append(r)
     rules = _LeadIndex()
-    _interreduce(rules, alg.relations)
-    for d in range(3, max_degree + 1):
-        for a, f, g, b in _obstructions(rules.by_lead, d):
-            # Stale pairs (f or g replaced by interreduction) still yield
-            # ideal members, so reducing them is sound either way.
-            h = reduce_poly(_s_polynomial(a, f, g, b), rules)
-            if h:
-                _interreduce(rules, [h])
+    for d in range(2, max([max_degree, *by_degree]) + 1):
+        _interreduce(rules, by_degree.get(d, ()))
+        if d <= max_degree:
+            for a, f, g, b in _obstructions(rules.by_lead, d):
+                h = reduce_poly(_s_polynomial(a, f, g, b), rules)
+                if h:
+                    _interreduce(rules, [h])
     elements = [rules.by_lead[lw] for lw in sorted(rules.by_lead, key=word_key)]
     return GroebnerData(alg, max_degree, elements, max_degree)
 

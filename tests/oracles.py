@@ -4,7 +4,8 @@ Everything here deliberately avoids the package's rewriting and elimination
 machinery: straightening is done by explicit adjacent transpositions on the
 ordered monomial basis of the skew ring, ranks come from a local row
 reduction with a right-to-left pivot order, `naive_rref` is dense
-Gauss-Jordan elimination over whole rows, `naive_reduce` rewrites by
+Gauss-Jordan elimination over whole rows (and gives `free_reduced_basis`
+one RREF of the ideal per degree), `naive_reduce` rewrites by
 re-sorting every term and scanning every leading word at each step, and
 `leibniz_det` sums over permutations with its own polynomial arithmetic.
 """
@@ -93,6 +94,26 @@ def naive_rref(rows):
     return work, pivots
 
 
+def _free_ideal_rows(n, relation_terms, words):
+    """Rows w1 * r * w2 spanning the ideal's piece of degree len(words[0]), indexed by words."""
+    d = len(words[0])
+    index = {w: i for i, w in enumerate(words)}
+    rows = []
+    for r in relation_terms:
+        deg = len(next(iter(r)))
+        if deg > d:
+            continue
+        for left_len in range(d - deg + 1):
+            right_len = d - deg - left_len
+            for w1 in itertools.product(range(n), repeat=left_len):
+                for w2 in itertools.product(range(n), repeat=right_len):
+                    row = [Fraction(0)] * len(words)
+                    for rw, rc in r.items():
+                        row[index[w1 + tuple(rw) + w2]] += Fraction(rc)
+                    rows.append(row)
+    return rows
+
+
 def free_quotient_dims(n, relation_terms, through):
     """Graded dimensions of the free algebra modulo homogeneous relations.
 
@@ -103,22 +124,31 @@ def free_quotient_dims(n, relation_terms, through):
     dims = []
     for d in range(through + 1):
         basis = list(itertools.product(range(n), repeat=d))
-        index = {w: i for i, w in enumerate(basis)}
-        rows = []
-        for r in relation_terms:
-            deg = len(next(iter(r)))
-            if deg > d:
-                continue
-            for left_len in range(d - deg + 1):
-                right_len = d - deg - left_len
-                for w1 in itertools.product(range(n), repeat=left_len):
-                    for w2 in itertools.product(range(n), repeat=right_len):
-                        row = [Fraction(0)] * len(basis)
-                        for rw, rc in r.items():
-                            row[index[w1 + tuple(rw) + w2]] += Fraction(rc)
-                        rows.append(row)
-        dims.append(len(basis) - local_rank(rows))
+        dims.append(len(basis) - local_rank(_free_ideal_rows(n, relation_terms, basis)))
     return dims
+
+
+def free_reduced_basis(n, relation_terms, through):
+    """The reduced Groebner basis through degree `through`, from one RREF per degree.
+
+    The RREF of the ideal's degree-d piece, with columns in descending
+    deglex order, has the leading words of that piece as pivots and only
+    normal words in its tails.  The reduced basis is the rows whose pivot
+    word has no proper subword that is a lower-degree pivot.  Returns the
+    elements as dicts word -> Fraction, in increasing deglex order of the
+    pivot words.  Exponential in the degree, so keep `through` small.
+    """
+    elements = []
+    pivots = set()
+    for d in range(1, through + 1):
+        words = sorted(itertools.product(range(n), repeat=d), reverse=True)
+        rows, cols = naive_rref(_free_ideal_rows(n, relation_terms, words))
+        for row, c in zip(rows, cols):
+            w = words[c]
+            if not any(w[i:j] in pivots for i in range(d) for j in range(i + 1, d + 1)):
+                elements.append(((d, w), {words[k]: v for k, v in enumerate(row) if v}))
+        pivots.update(words[c] for c in cols)
+    return [terms for _, terms in sorted(elements, key=lambda t: t[0])]
 
 
 def skew_quotient_dims(mu_grid, form_terms, through):

@@ -206,8 +206,15 @@ class TestFixtureCorpus:
             capsys.readouterr()
 
 
-# sha256 prefixes of each fixture's normal-locus JSON report with timing_ms
-# dropped, as json.dumps(..., sort_keys=True): the reports must not drift
+def report_digest(argv, capsys):
+    """sha256 prefix of the JSON report of a successful run, timing_ms dropped, as json.dumps(..., sort_keys=True)."""
+    assert main([*argv, "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    report.pop("timing_ms")
+    return hashlib.sha256(json.dumps(report, sort_keys=True).encode("utf-8")).hexdigest()[:16]
+
+
+# report_digest of each fixture's normal-locus report: the reports must not drift
 LOCUS_DIGESTS = {
     ("diag2.json", 1): "bcd648c43fcc8220",
     ("diag2.json", 2): "7b6e0e51528a90dd",
@@ -222,15 +229,11 @@ LOCUS_DIGESTS = {
 
 @pytest.mark.parametrize(("name", "radius"), sorted(LOCUS_DIGESTS))
 def test_normal_locus_report_digest(name, radius, capsys):
-    assert main(["normal-locus", fixture_path(name), "--grid", str(radius), "--format", "json"]) == 0
-    report = json.loads(capsys.readouterr().out)
-    report.pop("timing_ms")
-    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode("utf-8")).hexdigest()
-    assert digest[:16] == LOCUS_DIGESTS[(name, radius)]
+    digest = report_digest(["normal-locus", fixture_path(name), "--grid", str(radius)], capsys)
+    assert digest == LOCUS_DIGESTS[(name, radius)]
 
 
-# sha256 prefixes of each fixture's quotient dim, gb and hilbert JSON reports,
-# timing_ms dropped, as json.dumps(..., sort_keys=True)
+# report_digest of each fixture's quotient dim, gb and hilbert reports
 QUOTIENT_DIGESTS = {
     ("dim", "diag2.json"): "2a47f38006023f69",
     ("gb", "diag2.json"): "13cb3276405fe5fd",
@@ -249,11 +252,32 @@ QUOTIENT_DIGESTS = {
 
 @pytest.mark.parametrize(("command", "name"), sorted(QUOTIENT_DIGESTS))
 def test_quotient_report_digest(command, name, capsys):
-    assert main([command, fixture_path(name), "--algebra", "quotient", "--format", "json"]) == 0
-    report = json.loads(capsys.readouterr().out)
-    report.pop("timing_ms")
-    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode("utf-8")).hexdigest()
-    assert digest[:16] == QUOTIENT_DIGESTS[(command, name)]
+    digest = report_digest([command, fixture_path(name), "--algebra", "quotient"], capsys)
+    assert digest == QUOTIENT_DIGESTS[(command, name)]
+
+
+# report_digest of each fixture's gb reports on the GSCA (the default
+# algebra) and on the skew ring, and of its regular report
+REPORT_DIGESTS = {
+    ("gb", "diag2.json"): "c7cd9a101338568c",
+    ("gb", "diag3.json"): "6070a2f05a1b66c9",
+    ("gb", "example21.json"): "c474ebbb80f42272",
+    ("gb", "qplane3.json"): "fda2d03d25ca6cc3",
+    ("gb --algebra skew", "diag2.json"): "b23716fa4d3d54d4",
+    ("gb --algebra skew", "diag3.json"): "c761c0be7c57e10d",
+    ("gb --algebra skew", "example21.json"): "ff73ec5e564d4c1d",
+    ("gb --algebra skew", "qplane3.json"): "a974affa37470681",
+    ("regular", "diag2.json"): "3c31a45f2fcf79f1",
+    ("regular", "diag3.json"): "7a9981568efeba39",
+    ("regular", "example21.json"): "d33ca8eb072bb303",
+    ("regular", "qplane3.json"): "da59dbce7f26b5cc",
+}
+
+
+@pytest.mark.parametrize(("command", "name"), sorted(REPORT_DIGESTS))
+def test_report_digest(command, name, capsys):
+    head, *flags = command.split()
+    assert report_digest([head, fixture_path(name), *flags], capsys) == REPORT_DIGESTS[(command, name)]
 
 
 # an n=4 GSCA with fractional mu and forms, whose quotient basis has 18 elements
@@ -274,11 +298,17 @@ def test_quotient_gb_report_is_independent_of_the_hash_seed(tmp_path):
     path = tmp_path / "gsca4.json"
     path.write_text(json.dumps(HASHSEED_SPEC))
     package_root = os.path.dirname(os.path.dirname(skewclifford.__file__))
-    outputs = []
-    for seed in ("0", "12345"):
-        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": package_root}
-        argv = [sys.executable, "-m", "skewclifford.cli", "gb", str(path), "--algebra", "quotient", "--format", "json"]
-        done = subprocess.run(argv, env=env, capture_output=True, check=True)
-        outputs.append(re.sub(rb'"timing_ms": [^,\n]+', b'"timing_ms": T', done.stdout))
-    assert b'"count": 18' in outputs[0]
-    assert outputs[0] == outputs[1]
+    reports = {}
+    # regular exits 1: the spec fails its normalizing clause
+    for command, code in ((["gb", "--algebra", "quotient"], 0), (["regular"], 1)):
+        outputs = []
+        for seed in ("0", "12345"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": package_root}
+            argv = [sys.executable, "-m", "skewclifford.cli", command[0], str(path), *command[1:], "--format", "json"]
+            done = subprocess.run(argv, env=env, capture_output=True)
+            assert done.returncode == code, done.stderr
+            outputs.append(re.sub(rb'"timing_ms": [^,\n]+', b'"timing_ms": T', done.stdout))
+        assert outputs[0] == outputs[1]
+        reports[command[0]] = outputs[0]
+    assert b'"count": 18' in reports["gb"]
+    assert b'"normalizing": "FAIL"' in reports["regular"]
