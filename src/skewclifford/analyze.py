@@ -224,6 +224,13 @@ def normal_locus_in_span(
     the containment test of is_normal, run on the products formed here:
     normal forms are linear, so NF(side[h] * a) and NF(a * side[h]) are the
     same combinations of the normal-formed products.
+
+    Over (word, k) keys, column h of a containment matrix is one fixed
+    rational vector, so one `Echelon` per side decides whole families.
+    When the augmented column lies in the span of the other columns, the
+    containment holds at every point and every minor of the family is
+    zero; when the columns alone are dependent, every minor is zero.
+    Only the remaining families are expanded.
     """
     gens = [normal_form(g, gb) for g in span_gens]
     side = [normal_form(g, gb) for g in side_basis]
@@ -241,34 +248,45 @@ def normal_locus_in_span(
 
     m = len(gens)
     s = len(side)
+    grid = [tuple(Fraction(v) for v in point) for point in grid]
+    if any(len(point) != m for point in grid):
+        raise ValueError("wrong number of parameter values")
     variables = tuple(f"c{k + 1}" for k in range(m))
     words = degree_basis(gb, total)
-    # gen_times_side[k][h] and side_times_gen[h][k] drive both containments
-    gen_times_side = [[normal_form(gens[k] * side[h], gb).terms for h in range(s)] for k in range(m)]
-    side_times_gen = [[normal_form(side[h] * gens[k], gb).terms for k in range(m)] for h in range(s)]
+    # NF(side[h] * g_k) and NF(g_k * side[h]), one list over k per h, drive both containments
+    side_gen = [[normal_form(side[h] * gens[k], gb).terms for k in range(m)] for h in range(s)]
+    gen_side = [[normal_form(gens[k] * side[h], gb).terms for k in range(m)] for h in range(s)]
+    # side[h] * a and a * side[h] as fixed vectors over (word, k) keys: the
+    # right family's columns and the left family's augmented columns, and
+    # the other way round
+    side_a = [_flatten(vectors) for vectors in side_gen]
+    a_side = [_flatten(vectors) for vectors in gen_side]
+    units = [tuple(1 if t == k else 0 for t in range(m)) for k in range(m)]
 
-    def linear_entry(vectors_by_param: List[Dict[tuple, Fraction]], word: tuple) -> ParamPoly:
+    def linear_entry(flat: Dict[Tuple[tuple, int], Fraction], word: tuple) -> ParamPoly:
         terms = {}
         for k in range(m):
-            c = vectors_by_param[k].get(word)
+            c = flat.get((word, k))
             if c:
-                exp = tuple(1 if t == k else 0 for t in range(m))
-                terms[exp] = c
+                terms[units[k]] = c
         return ParamPoly._make(variables, terms)
 
     minors: List[MinorRecord] = []
-    for side_name in ("left", "right"):
+    contained_everywhere = True
+    for side_name, col_vectors, aug_vectors in (("left", a_side, side_a), ("right", side_a, a_side)):
+        columns = Echelon()
+        for vec in col_vectors:
+            columns.add(vec)
         for g in range(s):
-            if side_name == "left":
-                cols = [[gen_times_side[k][h] for k in range(m)] for h in range(s)]
-                aug = [side_times_gen[g][k] for k in range(m)]
-            else:
-                cols = [[side_times_gen[h][k] for k in range(m)] for h in range(s)]
-                aug = [gen_times_side[k][g] for k in range(m)]
+            if not columns.reduce(aug_vectors[g]):
+                continue  # aug = sum lambda_h col_h: contained at every point, every minor zero
+            contained_everywhere = False
+            if len(columns) < s:
+                continue  # dependent columns: every minor zero, no containment proved
+            flats = [*col_vectors, aug_vectors[g]]
             rows = []
             for w in words:
-                row = [linear_entry(col, w) for col in cols]
-                row.append(linear_entry(aug, w))
+                row = [linear_entry(flat, w) for flat in flats]
                 if any(row):
                     rows.append(row)
             if len(rows) >= s + 1:
@@ -289,11 +307,8 @@ def normal_locus_in_span(
 
     points: List[PointVerdict] = []
     for point in grid:
-        point = tuple(Fraction(v) for v in point)
         certificate = None
         if minors:
-            if len(point) != m:
-                raise ValueError("wrong number of parameter values")
             values = [v.numerator if v.denominator == 1 else v for v in point]
             table = [math.prod(v**e for v, e in zip(values, exp)) for exp in monomials]
             certificate = next(
@@ -304,16 +319,24 @@ def normal_locus_in_span(
             continue
         if zero_side and any(_combine(point, [g.terms for g in gens]).values()):
             raise ValueError("side basis elements must be nonzero and homogeneous")  # as is_normal would
+        if contained_everywhere:
+            points.append(PointVerdict(point, True, None))
+            continue
         # NF(side[h] * a) must lie in span{NF(a * side[h'])} and vice versa: the
         # first containment plus equal ranks gives both.
         left_span, right_span = Echelon(), Echelon()
-        lefts = [_combine(point, side_times_gen[h]) for h in range(s)]
+        lefts = [_combine(point, side_gen[h]) for h in range(s)]
         for h in range(s):
             left_span.add(lefts[h])
-            right_span.add(_combine(point, [gen_times_side[k][h] for k in range(m)]))
+            right_span.add(_combine(point, gen_side[h]))
         normal = len(left_span) == len(right_span) and not any(right_span.reduce(v) for v in lefts)
         points.append(PointVerdict(point, normal, None))
     return LocusReport(variables, tuple(minors), tuple(points))
+
+
+def _flatten(vectors: Sequence[Dict[tuple, Fraction]]) -> Dict[Tuple[tuple, int], Fraction]:
+    """One vector over (word, k) keys from the vectors[k], one per parameter."""
+    return {(w, k): c for k, vec in enumerate(vectors) for w, c in vec.items()}
 
 
 def _combine(point: Sequence[Fraction], vectors: Sequence[Dict]) -> Dict:

@@ -397,7 +397,9 @@ def _handle_normal_locus(spec, flags):
     except ValueError as exc:
         raise ValueError(f"--grid: {exc}") from exc
     pres = _build(spec)
-    gb = pres.groebner(_bound(spec, flags))
+    # the locus reads degree 4 (y span times y side), and a basis truncated
+    # at 4 is the same through 4 as one truncated higher
+    gb = pres.groebner(min(_bound(spec, flags), 4))
     y_nfs = pres.y_normal_forms(gb)
     report = analyze.normal_locus_in_span(gb, y_nfs, y_nfs, grid)
     evidence = {

@@ -5,6 +5,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import skewclifford as sk
 import skewclifford.analyze as analyze_module
@@ -25,6 +27,7 @@ from skewclifford.rewrite import DegreeBoundError, groebner, normal_form
 from skewclifford.twist import DiagonalAutomorphism, mu_from_lambdas
 
 from conftest import NONZERO_SMALL, example21_matrices, example21_mu, random_gca, random_mu, random_mu_symmetric
+from oracles import leibniz_det, local_rank
 
 
 def quantum_pair():
@@ -201,6 +204,13 @@ class TestNormalLocus:
         report = normal_locus_in_span(gb, [y[2]], y, [(Fraction(c),) for c in (-2, -1, 1, 2)])
         assert all(p.normal for p in report.points)
 
+    def test_grid_points_of_wrong_length_are_rejected(self, ex21):
+        diag3 = sk.build_gca(diag_grids(3))
+        for pres, gb in ((diag3, diag3.groebner(4)), ex21[2:]):
+            y = pres.y_normal_forms(gb)
+            with pytest.raises(ValueError, match="wrong number of parameter values"):
+                normal_locus_in_span(gb, y, y, [(Fraction(1),), (1, 2, 3, 4)])
+
     def test_default_grid_shape(self):
         grid = default_grid(2, 1)
         assert len(grid) == 8 and (0, 0) not in grid
@@ -277,6 +287,118 @@ class TestLocusPointVerdicts:
             y = pres.y_normal_forms(gb)
             kinds |= self.verdicts_match(gb, y, y, default_grid(n, 1), monkeypatch)
         assert kinds == {(True, "left"), (False, None), (False, "left"), (False, "right")}
+
+
+class TestLocusColumnTest:
+    """Families settled by the column test are exactly those the rule names, and none hides a nonzero minor."""
+
+    @staticmethod
+    def families(gb, gens, side):
+        """Each containment family's columns and augmented column, as {word: ParamPoly} maps, built here.
+
+        Left family g: columns a * side[h], augmented side[g] * a; right: the mirror.
+        """
+        m = len(gens)
+        variables = tuple(f"c{k + 1}" for k in range(m))
+        units = [tuple(int(t == k) for t in range(m)) for k in range(m)]
+
+        def column(products):
+            entries = {}
+            for k, p in enumerate(products):
+                for w, c in normal_form(p, gb).terms.items():
+                    entries.setdefault(w, {})[units[k]] = c
+            return {w: ParamPoly(variables, terms) for w, terms in entries.items()}
+
+        a_side = [column([g * h for g in gens]) for h in side]
+        side_a = [column([h * g for g in gens]) for h in side]
+        return {
+            (name, g): [*cols, augs[g]]
+            for name, cols, augs in (("left", a_side, side_a), ("right", side_a, a_side))
+            for g in range(len(side))
+        }
+
+    @staticmethod
+    def branch(columns, m):
+        """The column test on dense rational vectors over (word, k), ranked by the oracle."""
+        keys = sorted({(w, k) for col in columns for w, p in col.items() for k in range(m) if p.terms})
+        units = [tuple(int(t == k) for t in range(m)) for k in range(m)]
+        dense = [[col[w].terms.get(units[k], 0) if w in col else 0 for (w, k) in keys] for col in columns]
+        s = len(columns) - 1
+        if local_rank(dense) == local_rank(dense[:s]):
+            return "contained"
+        return "dependent" if local_rank(dense[:s]) < s else "expanded"
+
+    @staticmethod
+    def case(kind, seed, n, side_kind):
+        rng = random.Random(seed)
+        if kind == "gca":
+            pres = random_gca(rng, n)
+        else:
+            pres = seeded_gsca(seed, n, (1, -1, 2, Fraction(1, 2), 3))
+        gb = pres.groebner(4)
+        y = pres.y_normal_forms(gb)
+        side = {
+            "x": [NcPoly.generator(i) for i in range(n)],
+            "y": y,
+            "repeat": y + [y[rng.randrange(n)]],
+            "zero": y + [NcPoly.zero()],
+        }[side_kind]
+        return gb, y, side
+
+    # n = 3 only on a GSCA with the x side (degree 3, at most 10 rows): a
+    # skipped n = 3 family with the y side has up to 15 rows, and the oracle
+    # then takes seconds per family
+    SOUNDNESS_SHAPES = [
+        *((kind, 2, side_kind) for kind in ("gca", "gsca") for side_kind in ("x", "y", "repeat", "zero")),
+        ("gsca", 3, "x"),
+    ]
+
+    def test_column_test_is_sound(self, monkeypatch):
+        seen = set()
+
+        @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+        @given(
+            st.sampled_from(self.SOUNDNESS_SHAPES),
+            st.integers(0, 50),
+        )
+        def check(shape, seed):
+            kind, n, side_kind = shape
+            gb, y, side = self.case(kind, seed, n, side_kind)
+            grid = default_grid(n, 1)
+            families = self.families(gb, y, side)
+            branches = {key: self.branch(cols, n) for key, cols in families.items()}
+            s = len(side)
+            expanded = 0
+            for key, cols in families.items():
+                rows = [[col.get(w, 0) for col in cols] for w in sorted({w for col in cols for w in col})]
+                if branches[key] == "expanded":
+                    expanded += len(rows) >= s + 1
+                    continue
+                # every (s + 1)-minor over the nonzero rows; a minor on a zero row is zero
+                for rsub in itertools.combinations(rows, s + 1):
+                    assert leibniz_det(rsub, n) == {}, (key, branches[key])
+            calls = []
+            original = analyze_module.parametric_minors
+            monkeypatch.setattr(analyze_module, "parametric_minors", lambda *a: calls.append(1) or original(*a))
+            try:
+                if side_kind == "zero":
+                    with pytest.raises(ValueError, match="side basis elements must be nonzero"):
+                        normal_locus_in_span(gb, y, side, grid)
+                    report = None
+                else:
+                    report = normal_locus_in_span(gb, y, side, grid)
+            finally:
+                monkeypatch.undo()
+            assert len(calls) == expanded
+            if report is not None:
+                for p in report.points:
+                    assert p.normal == is_normal(element_at(p.point, y), gb, side).normal, p.point
+            seen.update(branches.values())
+            if all(b == "contained" for b in branches.values()):
+                seen.add(("all contained", side_kind == "zero"))
+
+        check()
+        assert {"contained", "dependent", "expanded", ("all contained", True), ("all contained", False)} <= seen
 
 
 class TestRElements:

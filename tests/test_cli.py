@@ -4,13 +4,16 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from importlib import resources
 
 import pytest
 
 import skewclifford
+from skewclifford import analyze
 from skewclifford.cli import Flags, Report, SpecFileError, dispatch, emit_report, main, parse_spec
+from skewclifford.exact import Echelon
 
 
 def fixture_path(name: str) -> str:
@@ -299,12 +302,18 @@ def test_quotient_gb_report_is_independent_of_the_hash_seed(tmp_path):
     path.write_text(json.dumps(HASHSEED_SPEC))
     package_root = os.path.dirname(os.path.dirname(skewclifford.__file__))
     reports = {}
-    # regular exits 1: the spec fails its normalizing clause
-    for command, code in ((["gb", "--algebra", "quotient"], 0), (["regular"], 1)):
+    # regular exits 1: the spec fails its normalizing clause; the locus runs
+    # on the n=3 fixture, since the n=4 spec's locus is slow
+    runs = (
+        (str(path), ["gb", "--algebra", "quotient"], 0),
+        (str(path), ["regular"], 1),
+        (fixture_path("example21.json"), ["normal-locus", "--grid", "1"], 0),
+    )
+    for spec_path, command, code in runs:
         outputs = []
         for seed in ("0", "12345"):
             env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": package_root}
-            argv = [sys.executable, "-m", "skewclifford.cli", command[0], str(path), *command[1:], "--format", "json"]
+            argv = [sys.executable, "-m", "skewclifford.cli", command[0], spec_path, *command[1:], "--format", "json"]
             done = subprocess.run(argv, env=env, capture_output=True)
             assert done.returncode == code, done.stderr
             outputs.append(re.sub(rb'"timing_ms": [^,\n]+', b'"timing_ms": T', done.stdout))
@@ -312,3 +321,77 @@ def test_quotient_gb_report_is_independent_of_the_hash_seed(tmp_path):
         reports[command[0]] = outputs[0]
     assert b'"count": 18' in reports["gb"]
     assert b'"normalizing": "FAIL"' in reports["regular"]
+    assert b'"minor_count": 308' in reports["normal-locus"]
+
+
+def locus_report(argv, capsys):
+    assert main(["normal-locus", *argv, "--format", "json"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+# a GCA whose forms have every entry nonzero; its locus used to expand
+# 93,024 symbolic 5x5 minors, every one of them zero
+DENSE_GCA4_SPEC = {
+    "n": 4,
+    "kind": "gca",
+    "forms": [
+        [["-1", "1", "-2", "1"], ["1", "-2", "1", "1"], ["-2", "1", "1", "2"], ["1", "1", "2", "1"]],
+        [["-1", "-2", "1", "-2"], ["-2", "1", "1", "1"], ["1", "1", "-2", "2"], ["-2", "1", "2", "1"]],
+        [["1", "2", "-1", "1"], ["2", "-2", "1", "-2"], ["-1", "1", "-2", "-2"], ["1", "-2", "-2", "2"]],
+        [["1", "-2", "1", "2"], ["-2", "-1", "1", "2"], ["1", "1", "-2", "1"], ["2", "2", "1", "-1"]],
+    ],
+}
+
+
+class TestNormalLocusWork:
+    def counted(self, monkeypatch):
+        """Count parametric_minors calls and Echelon constructions inside the locus."""
+        counts = {"minors": 0, "echelons": 0}
+        original = analyze.parametric_minors
+
+        def minors(*args):
+            counts["minors"] += 1
+            return original(*args)
+
+        class CountedEchelon(Echelon):
+            def __init__(self):
+                super().__init__()
+                counts["echelons"] += 1
+
+        monkeypatch.setattr(analyze, "parametric_minors", minors)
+        monkeypatch.setattr(analyze, "Echelon", CountedEchelon)
+        return counts
+
+    def test_central_span_expands_no_minor_and_settles_no_point(self, monkeypatch, capsys):
+        counts = self.counted(monkeypatch)
+        report = locus_report([fixture_path("diag3.json"), "--grid", "2"], capsys)
+        assert report["evidence"]["normal_points"] == 124
+        # the two column echelons, one per side, and none per point
+        assert counts == {"minors": 0, "echelons": 2}
+
+    def test_worked_example_still_expands_minors(self, monkeypatch, capsys):
+        counts = self.counted(monkeypatch)
+        evidence = locus_report([fixture_path("example21.json"), "--grid", "1"], capsys)["evidence"]
+        assert counts["minors"] > 0
+        assert evidence["minor_count"] == 308
+        assert any(p["certificate"] is not None for p in evidence["points"])
+
+    def test_dense_n4_gca_within_budget(self, tmp_path, capsys):
+        path = tmp_path / "dense4.json"
+        path.write_text(json.dumps(DENSE_GCA4_SPEC))
+        start = time.perf_counter()
+        evidence = locus_report([str(path), "--grid", "1"], capsys)["evidence"]
+        assert time.perf_counter() - start < 5.0
+        assert evidence["minor_count"] == 0 and evidence["normal_points"] == 80
+
+
+@pytest.mark.parametrize("name", ALL_FIXTURES)
+def test_normal_locus_evidence_is_independent_of_the_bound(name, capsys):
+    path = fixture_path(name)
+    evidence = [
+        locus_report([path, "--grid", "1", *flags], capsys)["evidence"]
+        for flags in (["--max-deg", "4"], [], ["--max-deg", "10"])
+    ]
+    assert evidence[0] == evidence[1] == evidence[2]
+    assert main(["normal-locus", path, "--grid", "1", "--max-deg", "3"]) == 2
+    assert "degree 4 exceeds completeness bound 3" in capsys.readouterr().err
