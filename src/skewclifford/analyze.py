@@ -17,17 +17,10 @@ from .clifford import (
     build_gsca,
     quadric_system_of,
 )
-from .exact import Echelon, ExactMatrix, ParamPoly, parametric_minors, solve_in_span
+from .exact import Echelon, ExactMatrix, ParamPoly, parametric_minors
 from .freealg import NcPoly
-from .rewrite import DegreeBoundError, GroebnerData, degree_basis, normal_form
+from .rewrite import GroebnerData, degree_basis, normal_form
 from .twist import DiagonalAutomorphism, TwistVerdict, mu_from_lambdas, relation_span_equal, twist_criterion, twist_presentation
-
-
-def _coords(p: NcPoly, word_index: Dict[tuple, int]) -> Tuple[Fraction, ...]:
-    vec = [Fraction(0)] * len(word_index)
-    for w, c in p.terms.items():
-        vec[word_index[w]] = c
-    return tuple(vec)
 
 
 def _default_side(gb: GroebnerData) -> List[NcPoly]:
@@ -39,10 +32,7 @@ def _check_side_degrees(a_deg: int, side: Sequence[NcPoly], gb: GroebnerData):
         deg = g.homogeneous_degree()
         if deg is None:
             raise ValueError("side basis elements must be nonzero and homogeneous")
-        if a_deg + deg > gb.complete_through:
-            raise DegreeBoundError(
-                f"degree {a_deg + deg} exceeds completeness bound {gb.complete_through}"
-            )
+        gb.require(a_deg + deg)
 
 
 def _spread(combo: Tuple[Fraction, ...], indices: Sequence[int], size: int) -> Tuple[Fraction, ...]:
@@ -151,8 +141,7 @@ def subalgebra_basis(gb: GroebnerData, generators: Sequence[NcPoly], through: in
     word in the generators: a word whose prefix was not chosen gives a
     combination of earlier products, so it would not be chosen either.
     """
-    if through > gb.complete_through:
-        raise DegreeBoundError(f"degree {through} exceeds completeness bound {gb.complete_through}")
+    gb.require(through)
     gens = []
     for g in generators:
         g = normal_form(g, gb)
@@ -215,22 +204,24 @@ def normal_locus_in_span(
 ) -> LocusReport:
     """Normality of a = sum c_k span_gens[k] across a parameter grid.
 
-    Because a is linear in the parameters, every product needed by the
-    normality containments is a linear combination of products of fixed
-    polynomials, so the containment matrices have entries linear in the
+    Normal forms are linear, so NF(side[h] * a) and NF(a * side[h]) are
+    fixed rational vectors over (word, k) keys: the coefficient of the word
+    in NF(side[h] * g_k) or NF(g_k * side[h]).  At a point, each is the
+    vector over words that sums c_k times its slice k.  Containment family
+    (left, g) asks that side[g] * a lie in the span of the columns
+    a * side[h], and (right, g) the mirror; `is_normal` asks this of every
+    family.  So the containment matrices have entries linear in the
     parameters.  Vanishing of all maximal minors of each augmented matrix
     is necessary for normality; a nonzero minor at a grid point is a sound
-    not-normal certificate.  The remaining points are settled exactly by
-    the containment test of is_normal, run on the products formed here:
-    normal forms are linear, so NF(side[h] * a) and NF(a * side[h]) are the
-    same combinations of the normal-formed products.
+    not-normal certificate.
 
-    Over (word, k) keys, column h of a containment matrix is one fixed
-    rational vector, so one `Echelon` per side decides whole families.
-    When the augmented column lies in the span of the other columns, the
-    containment holds at every point and every minor of the family is
-    zero; when the columns alone are dependent, every minor is zero.
-    Only the remaining families are expanded.
+    One `Echelon` per side of its s columns decides whole families.  When
+    the augmented column lies in the span of the columns, the family is
+    contained at every point and every minor is zero; when the columns
+    alone are dependent, every minor is zero.  Only the remaining families
+    are expanded.  A point without a certificate is normal exactly when
+    every family not contained everywhere is contained there, which one
+    `Echelon` of that side's columns at the point decides.
     """
     gens = [normal_form(g, gb) for g in span_gens]
     side = [normal_form(g, gb) for g in side_basis]
@@ -243,24 +234,25 @@ def normal_locus_in_span(
         raise ValueError("side basis must be nonzero, homogeneous, of one common degree")
     side_deg = side_degs.pop()
     total = span_deg + side_deg
-    if total > gb.complete_through:
-        raise DegreeBoundError(f"degree {total} exceeds completeness bound {gb.complete_through}")
+    gb.require(total)
 
     m = len(gens)
     s = len(side)
     grid = [tuple(Fraction(v) for v in point) for point in grid]
     if any(len(point) != m for point in grid):
         raise ValueError("wrong number of parameter values")
+    if not all(side):
+        # is_normal rejects a zero side element unless a is zero; such a
+        # side has rank below s on both sides, so no point has a certificate
+        a_flat = _flatten(gens)
+        if any(any(_at_point(a_flat, point).values()) for point in grid):
+            raise ValueError("side basis elements must be nonzero and homogeneous")
     variables = tuple(f"c{k + 1}" for k in range(m))
     words = degree_basis(gb, total)
-    # NF(side[h] * g_k) and NF(g_k * side[h]), one list over k per h, drive both containments
-    side_gen = [[normal_form(side[h] * gens[k], gb).terms for k in range(m)] for h in range(s)]
-    gen_side = [[normal_form(gens[k] * side[h], gb).terms for k in range(m)] for h in range(s)]
-    # side[h] * a and a * side[h] as fixed vectors over (word, k) keys: the
-    # right family's columns and the left family's augmented columns, and
-    # the other way round
-    side_a = [_flatten(vectors) for vectors in side_gen]
-    a_side = [_flatten(vectors) for vectors in gen_side]
+    # side[h] * a and a * side[h]: the right family's columns and the left
+    # family's augmented columns, and the other way round
+    side_a = [_flatten([normal_form(h * g, gb) for g in gens]) for h in side]
+    a_side = [_flatten([normal_form(g * h, gb) for g in gens]) for h in side]
     units = [tuple(1 if t == k else 0 for t in range(m)) for k in range(m)]
 
     def linear_entry(flat: Dict[Tuple[tuple, int], Fraction], word: tuple) -> ParamPoly:
@@ -272,18 +264,20 @@ def normal_locus_in_span(
         return ParamPoly._make(variables, terms)
 
     minors: List[MinorRecord] = []
-    contained_everywhere = True
-    for side_name, col_vectors, aug_vectors in (("left", a_side, side_a), ("right", side_a, a_side)):
+    open_sides = []  # (columns, augmented columns, families not contained everywhere) per side
+    for side_name, col_flats, aug_flats in (("left", a_side, side_a), ("right", side_a, a_side)):
         columns = Echelon()
-        for vec in col_vectors:
-            columns.add(vec)
-        for g in range(s):
-            if not columns.reduce(aug_vectors[g]):
-                continue  # aug = sum lambda_h col_h: contained at every point, every minor zero
-            contained_everywhere = False
-            if len(columns) < s:
-                continue  # dependent columns: every minor zero, no containment proved
-            flats = [*col_vectors, aug_vectors[g]]
+        for flat in col_flats:
+            columns.add(flat)
+        # a family whose aug reduces to zero has aug = sum lambda_h col_h:
+        # it is contained at every point, and every minor is zero
+        open_g = [g for g in range(s) if columns.reduce(aug_flats[g])]
+        if open_g:
+            open_sides.append((col_flats, aug_flats, open_g))
+        if len(columns) < s:
+            continue  # dependent columns: every minor zero
+        for g in open_g:
+            flats = [*col_flats, aug_flats[g]]
             rows = []
             for w in words:
                 row = [linear_entry(flat, w) for flat in flats]
@@ -303,13 +297,12 @@ def normal_locus_in_span(
         # lcm of a list, not of a generator (see rewrite.reduce_poly)
         den = math.lcm(*[c.denominator for c in record.poly.terms.values()])
         scaled_minors.append([(slot[e], c.numerator * (den // c.denominator)) for e, c in record.poly.terms.items()])
-    zero_side = not all(side)
 
     points: List[PointVerdict] = []
     for point in grid:
+        values = [v.numerator if v.denominator == 1 else v for v in point]
         certificate = None
         if minors:
-            values = [v.numerator if v.denominator == 1 else v for v in point]
             table = [math.prod(v**e for v, e in zip(values, exp)) for exp in monomials]
             certificate = next(
                 (idx for idx, terms in enumerate(scaled_minors) if sum(c * table[j] for j, c in terms)), None
@@ -317,35 +310,30 @@ def normal_locus_in_span(
         if certificate is not None:
             points.append(PointVerdict(point, False, certificate))
             continue
-        if zero_side and any(_combine(point, [g.terms for g in gens]).values()):
-            raise ValueError("side basis elements must be nonzero and homogeneous")  # as is_normal would
-        if contained_everywhere:
-            points.append(PointVerdict(point, True, None))
-            continue
-        # NF(side[h] * a) must lie in span{NF(a * side[h'])} and vice versa: the
-        # first containment plus equal ranks gives both.
-        left_span, right_span = Echelon(), Echelon()
-        lefts = [_combine(point, side_gen[h]) for h in range(s)]
-        for h in range(s):
-            left_span.add(lefts[h])
-            right_span.add(_combine(point, gen_side[h]))
-        normal = len(left_span) == len(right_span) and not any(right_span.reduce(v) for v in lefts)
+        normal = True
+        for col_flats, aug_flats, open_g in open_sides:
+            span = Echelon()
+            for flat in col_flats:
+                span.add(_at_point(flat, values))
+            if any(span.reduce(_at_point(aug_flats[g], values)) for g in open_g):
+                normal = False
+                break
         points.append(PointVerdict(point, normal, None))
     return LocusReport(variables, tuple(minors), tuple(points))
 
 
-def _flatten(vectors: Sequence[Dict[tuple, Fraction]]) -> Dict[Tuple[tuple, int], Fraction]:
-    """One vector over (word, k) keys from the vectors[k], one per parameter."""
-    return {(w, k): c for k, vec in enumerate(vectors) for w, c in vec.items()}
+def _flatten(polys: Sequence[NcPoly]) -> Dict[Tuple[tuple, int], Fraction]:
+    """One vector over (word, k) keys from the polys[k], one per parameter."""
+    return {(w, k): c for k, p in enumerate(polys) for w, c in p.terms.items()}
 
 
-def _combine(point: Sequence[Fraction], vectors: Sequence[Dict]) -> Dict:
-    """sum_k point[k] * vectors[k] for sparse vectors; cancelled entries stay as zeros."""
-    out: Dict = {}
-    for c, vec in zip(point, vectors):
-        if c:
-            for col, v in vec.items():
-                out[col] = out.get(col, 0) + c * v
+def _at_point(flat: Dict[Tuple[tuple, int], Fraction], values: Sequence) -> Dict[tuple, Fraction]:
+    """sum_k values[k] * (slice k of flat), over words; cancelled entries stay as zeros."""
+    out: Dict[tuple, Fraction] = {}
+    for (w, k), c in flat.items():
+        v = values[k]
+        if v:
+            out[w] = out.get(w, 0) + v * c
     return out
 
 
@@ -508,7 +496,6 @@ def verify_twist_theorem(matrices: Sequence, tau: DiagonalAutomorphism, through:
     gb_b = B.groebner(4)
     c_twist_ok = True
     c_elements: Dict[Tuple[int, int], NcPoly] = {}
-    word_index = {w: t for t, w in enumerate(degree_basis(gb_b, 2))}
     for i in range(n):
         for j in range(i, n):
             e = NcPoly.generator(i) * NcPoly.generator(j) + NcPoly.generator(j) * NcPoly.generator(i)
@@ -516,10 +503,8 @@ def verify_twist_theorem(matrices: Sequence, tau: DiagonalAutomorphism, through:
             c = normal_form(tau.apply(e), gb_b)
             report.c_scalars[(i, j)] = lams[i] * lams[j]
             c_elements[(i, j)] = c
-            if e_nf:
-                combo = solve_in_span(_coords(c, word_index), [_coords(e_nf, word_index)])
-                if combo is None or combo[0] != lams[i] * lams[j]:
-                    c_twist_ok = False
+            if e_nf and c != e_nf.scale(lams[i] * lams[j]):
+                c_twist_ok = False
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
     for (i, j) in pairs:
         for (k, p) in pairs:

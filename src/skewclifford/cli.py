@@ -17,7 +17,6 @@ from .clifford import (
     MuMatrix,
     MuSymmetricMatrix,
     base_point_free_check,
-    build_gca,
     build_gsca,
     build_skew_ring,
     normalizing_check,
@@ -28,24 +27,6 @@ from .exact import parse_scalar, scalar_str
 from .freealg import parse_poly, poly_str
 from .rewrite import PresentedAlgebra, finite_dim_check, groebner, hilbert_coeffs, normal_form
 from .twist import DiagonalAutomorphism, twist_criterion, twist_presentation
-
-COMMANDS = (
-    "build",
-    "gb",
-    "nf",
-    "hilbert",
-    "dim",
-    "bpf",
-    "normalizing",
-    "regular",
-    "twist-check",
-    "twist",
-    "normal",
-    "central",
-    "normal-locus",
-    "verify-theorem",
-)
-
 
 class SpecFileError(ValueError):
     """Malformed algebra description file."""
@@ -199,8 +180,7 @@ def _bound(spec: AlgebraSpecFile, flags: Flags) -> int:
 
 
 def _build(spec: AlgebraSpecFile) -> CliffordPresentation:
-    if spec.kind == "gca":
-        return build_gca(spec.forms)
+    # a "gca" spec already carries mu = 1 and forms checked against it
     return build_gsca(spec.mu, spec.forms)
 
 
@@ -505,7 +485,7 @@ def dispatch(command: str, spec: AlgebraSpecFile, flags: Flags) -> Report:
 
 def _make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="skewclifford", description="Graded (skew) Clifford algebra toolkit")
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=_HANDLERS)
     parser.add_argument("file", help="algebra description file (JSON)")
     parser.add_argument("poly", nargs="?", help="polynomial argument for nf/normal/central")
     parser.add_argument("--max-deg", type=int, default=None, help="completeness bound (default 2n+2)")

@@ -200,21 +200,34 @@ def _interreduce(rules: _LeadIndex, polys: Sequence[NcPoly]) -> None:
 
 
 class GroebnerData:
-    """A truncated, inter-reduced rewriting system for a graded presentation."""
+    """A truncated, inter-reduced rewriting system for a graded presentation.
 
-    __slots__ = ("source", "max_degree", "elements", "complete_through", "_basis_cache", "_rules")
+    `elements` lists the rules of the lead index in deglex order of their
+    leading words.  Normal forms are unique through `max_degree`, and
+    `require` is the one check every reader makes before relying on that.
+    """
 
-    def __init__(self, source: PresentedAlgebra, max_degree: int, elements: Sequence[NcPoly], complete_through: int):
+    __slots__ = ("source", "max_degree", "elements", "_basis_cache", "_rules")
+
+    def __init__(self, source: PresentedAlgebra, max_degree: int, rules: _LeadIndex):
         self.source = source
         self.max_degree = max_degree
-        self.elements = tuple(elements)
-        self.complete_through = complete_through
+        self.elements = tuple(rules.by_lead[lw] for lw in sorted(rules.by_lead, key=word_key))
         self._basis_cache: dict = {}
-        self._rules = _LeadIndex(self.elements)
+        self._rules = rules
 
     @property
     def n(self) -> int:
         return self.source.n
+
+    @property
+    def complete_through(self) -> int:
+        return self.max_degree
+
+    def require(self, degree: int) -> None:
+        """Raise DegreeBoundError when degree lies beyond the completeness bound."""
+        if degree > self.max_degree:
+            raise DegreeBoundError(f"degree {degree} exceeds completeness bound {self.max_degree}")
 
     def lead_words(self) -> List[Word]:
         return [g.lead_word() for g in self.elements]
@@ -224,34 +237,28 @@ class GroebnerData:
             isinstance(other, GroebnerData)
             and self.source == other.source
             and self.elements == other.elements
-            and self.complete_through == other.complete_through
+            and self.max_degree == other.max_degree
         )
 
     def __repr__(self):
-        return f"GroebnerData(n={self.n}, elements={len(self.elements)}, complete_through={self.complete_through})"
+        return f"GroebnerData(n={self.n}, elements={len(self.elements)}, complete_through={self.max_degree})"
 
 
 def _obstructions(by_lead: Dict[Word, NcPoly], degree: int):
     """Overlap ambiguities a*lead(g) = lead(f)*b whose word has the given total degree.
 
-    Each item is (a, f, g, b); items are sorted by (ambiguity word,
-    overlap length, polynomial keys) for determinism.
+    Each item is (a, f, g, b); items are sorted by (ambiguity word, overlap
+    length, length of lead(f)) for determinism.  Those three values fix the
+    pair, so no two items tie.
     """
     obs = []
     for u in by_lead:
         for v in by_lead:
             ell = len(u) + len(v) - degree
             if 0 < ell < min(len(u), len(v)) and u[len(u) - ell :] == v[:ell]:
-                obs.append((word_key(u + v[ell:]), ell, u, v))
-    keys: Dict[Word, tuple] = {}
-
-    def key(lw: Word) -> tuple:
-        if lw not in keys:
-            keys[lw] = by_lead[lw].canonical_key()
-        return keys[lw]
-
-    obs.sort(key=lambda t: (t[0], t[1], key(t[2]), key(t[3])))
-    return [(u[: len(u) - ell], by_lead[u], by_lead[v], v[ell:]) for _, ell, u, v in obs]
+                obs.append((word_key(u + v[ell:]), ell, len(u), u, v))
+    obs.sort()
+    return [(u[: len(u) - ell], by_lead[u], by_lead[v], v[ell:]) for _, ell, _, u, v in obs]
 
 
 def _s_polynomial(a: Word, f: NcPoly, g: NcPoly, b: Word) -> NcPoly:
@@ -299,17 +306,14 @@ def groebner(alg: PresentedAlgebra, max_degree: int) -> GroebnerData:
                 h = reduce_poly(_s_polynomial(a, f, g, b), rules)
                 if h:
                     _interreduce(rules, [h])
-    elements = [rules.by_lead[lw] for lw in sorted(rules.by_lead, key=word_key)]
-    return GroebnerData(alg, max_degree, elements, max_degree)
+    return GroebnerData(alg, max_degree, rules)
 
 
 def normal_form(p: NcPoly, gb: GroebnerData) -> NcPoly:
     """Unique normal form of p; requires deg(p) within the completeness bound."""
     deg = p.degree()
-    if deg is not None and deg > gb.complete_through:
-        raise DegreeBoundError(
-            f"degree {deg} exceeds completeness bound {gb.complete_through}"
-        )
+    if deg is not None:
+        gb.require(deg)
     return reduce_poly(p, gb._rules)
 
 
@@ -317,8 +321,7 @@ def degree_basis(gb: GroebnerData, d: int) -> List[Word]:
     """All degree-d words with no leading word as a subword, in deglex order."""
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    if d > gb.complete_through:
-        raise DegreeBoundError(f"degree {d} exceeds completeness bound {gb.complete_through}")
+    gb.require(d)
     cache = gb._basis_cache
     if d in cache:
         return cache[d]

@@ -8,7 +8,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Tuple, Union
 
 from .clifford import MuMatrix
-from .exact import rref
+from .exact import Echelon
 from .freealg import LinearMap, NcPoly
 from .rewrite import PresentedAlgebra
 
@@ -119,29 +119,21 @@ def mu_from_lambdas(lams: Sequence[Fraction]) -> MuMatrix:
     return MuMatrix([[lams[j] / lams[i] for j in range(n)] for i in range(n)])
 
 
-def quadratic_coeff_rows(relations: Sequence[NcPoly], n: int):
-    """Coefficient rows over the deglex-ordered degree-two word basis."""
-    basis = [(a, b) for a in range(n) for b in range(n)]
-    index = {w: i for i, w in enumerate(basis)}
-    rows = []
+def _relation_span(relations: Sequence[NcPoly], n: int) -> Echelon:
+    """An `Echelon` of quadratic relations in n generators, keyed by word."""
+    span = Echelon()
     for rel in relations:
         if rel.homogeneous_degree() != 2:
             raise ValueError(f"non-quadratic relation: {rel}")
-        row = [Fraction(0)] * len(basis)
-        for w, c in rel.terms.items():
-            row[index[w]] = c
-        rows.append(row)
-    return rows
+        top = rel.max_letter()
+        if top >= n:
+            raise ValueError(f"relation uses generator {top + 1} but n = {n}")
+        span.add(rel.terms)
+    return span
 
 
 def relation_span_equal(rels_a: Sequence[NcPoly], rels_b: Sequence[NcPoly], n: int) -> bool:
-    """Compare quadratic relation spans via reduced row echelon forms."""
-    rows_a = quadratic_coeff_rows(rels_a, n)
-    rows_b = quadratic_coeff_rows(rels_b, n)
-    if not rows_a or not rows_b:
-        return not rows_a and not rows_b
-    ech_a, _ = rref(rows_a)
-    ech_b, _ = rref(rows_b)
-    nonzero_a = [row for row in ech_a if any(row)]
-    nonzero_b = [row for row in ech_b if any(row)]
-    return nonzero_a == nonzero_b
+    """Whether two lists of quadratic relations span the same space: equal ranks, and B inside A."""
+    span_a = _relation_span(rels_a, n)
+    span_b = _relation_span(rels_b, n)
+    return len(span_a) == len(span_b) and not any(span_a.reduce(row) for row in span_b.rows.values())

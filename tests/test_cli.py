@@ -303,11 +303,15 @@ def test_quotient_gb_report_is_independent_of_the_hash_seed(tmp_path):
     package_root = os.path.dirname(os.path.dirname(skewclifford.__file__))
     reports = {}
     # regular exits 1: the spec fails its normalizing clause; the locus runs
-    # on the n=3 fixture, since the n=4 spec's locus is slow
+    # on the n=3 fixture, since the n=4 spec's locus is slow, and the theorem
+    # on diag2, whose mu is of twist type
     runs = (
         (str(path), ["gb", "--algebra", "quotient"], 0),
+        (str(path), ["dim"], 0),
         (str(path), ["regular"], 1),
+        (str(path), ["normal", "x1", "--side", "ambient"], 0),
         (fixture_path("example21.json"), ["normal-locus", "--grid", "1"], 0),
+        (fixture_path("diag2.json"), ["verify-theorem"], 0),
     )
     for spec_path, command, code in runs:
         outputs = []
@@ -322,6 +326,9 @@ def test_quotient_gb_report_is_independent_of_the_hash_seed(tmp_path):
     assert b'"count": 18' in reports["gb"]
     assert b'"normalizing": "FAIL"' in reports["regular"]
     assert b'"minor_count": 308' in reports["normal-locus"]
+    assert b'"dimension": 11' in reports["dim"]
+    assert b'"normal": "PASS"' in reports["normal"]
+    assert b'"construction": "PASS"' in reports["verify-theorem"]
 
 
 def locus_report(argv, capsys):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import skewclifford as sk
 from skewclifford import rewrite
+from skewclifford.analyze import is_central, is_normal, normal_locus_in_span, subalgebra_basis
 from skewclifford.freealg import NcPoly, word_key
 from skewclifford.rewrite import (
     DegreeBoundError,
@@ -227,6 +228,22 @@ class TestGroebner:
         assert finite_dim_check(gb).dimension == 32
         assert len(calls) == 256
 
+    def test_one_lead_index_per_call(self, monkeypatch):
+        # the index groebner builds is the one GroebnerData keeps and
+        # normal_form reads
+        built = []
+
+        class Counted(rewrite._LeadIndex):
+            def __init__(self, *args):
+                built.append(1)
+                super().__init__(*args)
+
+        monkeypatch.setattr(rewrite, "_LeadIndex", Counted)
+        gb = groebner(triangular_gca_quotient(4, 4), 8)
+        assert len(built) == 1
+        normal_form(NcPoly.word((3, 2, 1, 0)), gb)
+        assert len(built) == 1
+
     def test_n6_quotient_within_budget(self):
         alg = triangular_gca_quotient(6, 6)
         start = time.perf_counter()
@@ -331,6 +348,29 @@ class TestDegreeBasis:
         gb = groebner(skew_ring_21(), 3)
         with pytest.raises(DegreeBoundError):
             degree_basis(gb, 4)
+
+
+def _power(d):
+    return NcPoly.word((0,) * d)
+
+
+# each reader of a truncated basis, called so that it needs degree d
+DEGREE_READERS = {
+    "normal_form": lambda gb, d: normal_form(_power(d), gb),
+    "degree_basis": lambda gb, d: degree_basis(gb, d),
+    "is_normal": lambda gb, d: is_normal(_power(d - 1), gb),
+    "is_central": lambda gb, d: is_central(_power(d - 1), gb),
+    "subalgebra_basis": lambda gb, d: subalgebra_basis(gb, [_power(2)], d),
+    "normal_locus_in_span": lambda gb, d: normal_locus_in_span(gb, [_power(d - 1)], [_power(1)], [(Fraction(1),)]),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(DEGREE_READERS))
+def test_every_reader_stops_at_the_completeness_bound(reader):
+    gb = groebner(sk.build_skew_ring(sk.MuMatrix.ones(2)), 4)
+    DEGREE_READERS[reader](gb, 4)
+    with pytest.raises(DegreeBoundError, match=r"^degree 5 exceeds completeness bound 4$"):
+        DEGREE_READERS[reader](gb, 5)
 
 
 class TestHilbert:

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import skewclifford as sk
 from skewclifford.freealg import LinearMap, NcPoly
@@ -15,6 +17,7 @@ from skewclifford.twist import (
 )
 
 from conftest import NONZERO_SMALL, example21_mu
+from oracles import local_rank
 
 
 def commutative_ring(n):
@@ -130,3 +133,90 @@ class TestInvariants:
             twisted = twist_presentation(commutative_ring(3), tau.inverse())
             skew = sk.build_skew_ring(mu_from_lambdas(lams))
             assert relation_span_equal(twisted.relations, skew.relations, 3)
+
+
+COEFFS = st.sampled_from([Fraction(v) for v in (1, 2, -1, -3, Fraction(1, 2), Fraction(-2, 3))])
+
+
+def _combination(polys, weights):
+    out = NcPoly.zero()
+    for p, c in zip(polys, weights):
+        out = out + p.scale(c)
+    return out
+
+
+@st.composite
+def relation_span_pairs(draw):
+    """(n, A, B, kind): B is A permuted, scaled and recombined, combinations of all but A's first, or on other words.
+
+    The two lists are swapped half the time, so sub-spans occur on either side.
+    """
+    n = draw(st.integers(2, 3))
+    words = [(i, j) for i in range(n) for j in range(n)]
+    kind = draw(st.sampled_from(("recombined", "fewer", "other words")))
+    pool = [w for w in words if w[0] <= w[1]] if kind == "other words" else words
+
+    def relations(pool, lo, hi):
+        count = draw(st.integers(lo, hi))
+        return [NcPoly(draw(st.dictionaries(st.sampled_from(pool), COEFFS, min_size=1, max_size=3))) for _ in range(count)]
+
+    a = relations(pool, 1, 4)
+    if kind == "recombined":
+        scaled = [p.scale(draw(COEFFS)) for p in a]
+        # adding a multiple of the next relation is invertible (unipotent)
+        b = [p + scaled[i + 1].scale(draw(COEFFS)) if i + 1 < len(a) else p for i, p in enumerate(scaled)]
+        b += [_combination(a, [draw(COEFFS) for _ in a]) for _ in range(draw(st.integers(0, 2)))]
+        b = draw(st.permutations(b))
+    elif kind == "fewer":
+        b = [_combination(a[1:], [draw(COEFFS) for _ in a[1:]]) for _ in range(draw(st.integers(0, 3)))]
+    else:
+        b = relations([w for w in words if w[0] > w[1]], 0, 3)
+    b = [p for p in b if p]  # a combination may cancel to zero, which is no relation
+    if draw(st.booleans()):
+        a, b = b, a
+    return n, a, b
+
+
+def _dense(polys, n):
+    words = [(i, j) for i in range(n) for j in range(n)]
+    return [[p.terms.get(w, 0) for w in words] for p in polys]
+
+
+class TestRelationSpanEqual:
+    def test_matches_the_rank_oracle(self):
+        seen = set()
+
+        @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+        @given(relation_span_pairs())
+        def check(case):
+            n, a, b = case
+            ra, rb, rab = (local_rank(_dense(polys, n)) for polys in (a, b, a + b))
+            expected = ra == rb == rab
+            assert relation_span_equal(a, b, n) == expected
+            if expected:
+                seen.add("equal")
+            elif rab == ra:
+                seen.add("second inside first")
+            elif rab == rb:
+                seen.add("first inside second")
+            else:
+                seen.add("neither")
+
+        check()
+        assert seen == {"equal", "second inside first", "first inside second", "neither"}
+
+    def test_generator_out_of_range_rejected(self):
+        inside = NcPoly({(0, 1): 1})
+        with pytest.raises(ValueError, match=r"relation uses generator 4 but n = 3"):
+            relation_span_equal([NcPoly({(0, 3): 1})], [inside], 3)
+        with pytest.raises(ValueError, match=r"relation uses generator 3 but n = 2"):
+            relation_span_equal([inside], [NcPoly({(2, 2): 1, (0, 1): 2})], 2)
+
+    @pytest.mark.parametrize(
+        "rel",
+        [NcPoly.zero(), NcPoly({(0,): 1}), NcPoly({(0, 1, 1): 1}), NcPoly({(0, 1): 1, (1,): 1})],
+        ids=["zero", "linear", "cubic", "inhomogeneous"],
+    )
+    def test_zero_and_non_quadratic_relations_rejected(self, rel):
+        with pytest.raises(ValueError, match="non-quadratic relation"):
+            relation_span_equal([NcPoly({(0, 1): 1})], [rel], 2)
