@@ -7,7 +7,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Dict, List, Optional
 
@@ -16,16 +16,17 @@ from .clifford import (
     CliffordPresentation,
     MuMatrix,
     MuSymmetricMatrix,
+    QuadricSystem,
     base_point_free_check,
     build_gsca,
     build_skew_ring,
     normalizing_check,
-    quadric_system_of,
+    quadratic_form_of,
     regularity_verdict,
 )
 from .exact import parse_scalar, scalar_str
 from .freealg import parse_poly, poly_str
-from .rewrite import PresentedAlgebra, finite_dim_check, groebner, hilbert_coeffs, normal_form
+from .rewrite import finite_dim_check, groebner, hilbert_coeffs, normal_form
 from .twist import DiagonalAutomorphism, twist_criterion, twist_presentation
 
 class SpecFileError(ValueError):
@@ -125,15 +126,8 @@ class Flags:
     inverse: bool = False
 
     def normalized(self) -> dict:
-        return {
-            "max_deg": self.max_deg,
-            "grid": self.grid,
-            "tau": self.tau,
-            "algebra": self.algebra,
-            "poly": self.poly,
-            "side": self.side,
-            "inverse": self.inverse,
-        }
+        """The digest input: every flag except the output format."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "fmt"}
 
 
 @dataclass
@@ -184,6 +178,11 @@ def _build(spec: AlgebraSpecFile) -> CliffordPresentation:
     return build_gsca(spec.mu, spec.forms)
 
 
+def _quadric_system(spec: AlgebraSpecFile) -> QuadricSystem:
+    # no build: the quadric commands need no elimination, nor independent forms
+    return QuadricSystem(spec.mu, tuple(quadratic_form_of(m) for m in spec.forms))
+
+
 def _presentation_for(spec: AlgebraSpecFile, algebra: str):
     """Returns (PresentedAlgebra, generator letter) for the selected algebra."""
     if algebra == "gsca":
@@ -191,9 +190,7 @@ def _presentation_for(spec: AlgebraSpecFile, algebra: str):
     if algebra == "skew":
         return build_skew_ring(spec.mu), "z"
     if algebra == "quotient":
-        ring = build_skew_ring(spec.mu)
-        forms = [q.as_ncpoly() for q in quadric_system_of(_build(spec)).forms]
-        return PresentedAlgebra(spec.n, list(ring.relations) + forms), "z"
+        return _quadric_system(spec).quotient(), "z"
     raise ValueError(f"unknown algebra selector {algebra!r}")
 
 
@@ -269,15 +266,13 @@ def _handle_dim(spec, flags):
 
 
 def _handle_bpf(spec, flags):
-    system = quadric_system_of(_build(spec))
-    verdict = base_point_free_check(system, _bound(spec, flags))
+    verdict = base_point_free_check(_quadric_system(spec), _bound(spec, flags))
     evidence = {"dimension": verdict.dimension, "bound": verdict.bound, "warning": verdict.warning}
     return {"base-point-free": "PASS" if verdict.base_point_free else "FAIL"}, evidence, verdict.base_point_free
 
 
 def _handle_normalizing(spec, flags):
-    system = quadric_system_of(_build(spec))
-    verdict = normalizing_check(system, _bound(spec, flags))
+    verdict = normalizing_check(_quadric_system(spec), _bound(spec, flags))
     evidence = {
         "order": [i + 1 for i in verdict.order] if verdict.found else None,
         "orders_searched": verdict.searched,
@@ -500,16 +495,7 @@ def _make_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _make_parser().parse_args(argv)
-    flags = Flags(
-        max_deg=args.max_deg,
-        fmt=args.fmt,
-        grid=args.grid,
-        tau=args.tau,
-        algebra=args.algebra,
-        poly=args.poly,
-        side=args.side,
-        inverse=args.inverse,
-    )
+    flags = Flags(**{f.name: getattr(args, f.name) for f in fields(Flags)})
     try:
         spec = parse_spec(args.file)
         report = dispatch(args.command, spec, flags)

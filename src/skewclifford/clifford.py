@@ -135,6 +135,11 @@ class QuadricSystem:
         if any(q.n != self.mu.n for q in self.forms):
             raise ValueError("all forms must live over the same mu")
 
+    def quotient(self) -> PresentedAlgebra:
+        """The skew ring modulo the forms (zero forms drop out as relations)."""
+        ring = build_skew_ring(self.mu)
+        return PresentedAlgebra(self.mu.n, list(ring.relations) + [q.as_ncpoly() for q in self.forms])
+
 
 class CliffordPresentation:
     """Quadratic x-presentation of a graded (skew) Clifford algebra.
@@ -280,13 +285,7 @@ def build_gca(matrices: Sequence[Sequence[Sequence]]) -> CliffordPresentation:
     return build_gsca(mu, wrapped)
 
 
-@dataclass(frozen=True)
-class CentralityVerdict:
-    central: bool
-    witness: Optional[int]  # 0-based generator index, or None
-
-
-def check_gca_centrality(pres: CliffordPresentation, a: NcPoly, b: NcPoly, depth: int) -> CentralityVerdict:
+def check_gca_centrality(pres: CliffordPresentation, a: NcPoly, b: NcPoly, depth: int) -> "CentralVerdict":
     """Check that ab + ba commutes with every generator, within the bound."""
     if not pres.mu.is_ones():
         raise ValueError("centrality check requires mu = 1 (a GCA)")
@@ -296,9 +295,7 @@ def check_gca_centrality(pres: CliffordPresentation, a: NcPoly, b: NcPoly, depth
     gb = pres.groebner(max(depth, 3))
     from .analyze import is_central  # local import avoids a module cycle
 
-    element = normal_form(a * b + b * a, gb)
-    verdict = is_central(element, gb)
-    return CentralityVerdict(verdict.central, verdict.witness)
+    return is_central(normal_form(a * b + b * a, gb), gb)
 
 
 def quadric_system_of(pres: CliffordPresentation) -> QuadricSystem:
@@ -325,14 +322,16 @@ def normalizing_check(sys: QuadricSystem, max_degree: int) -> NormalizingVerdict
     permutation of the given forms works, not that no sequence exists.
     The quotient depends only on the set of predecessors (the presentation
     sorts its relations), so each set's basis and each (set, form) verdict
-    is computed once: at most 2^m bases instead of m * m!.
+    is computed once: at most 2^m bases instead of m * m!.  `is_normal` of
+    a quadric against the degree-one side reads degree 3, and a basis
+    truncated at 3 agrees through 3 with one truncated higher, so each
+    basis stops at min(max_degree, 3).
     """
     from .analyze import is_normal  # local import avoids a module cycle
 
     m = len(sys.forms)
     if m > MAX_PERMUTATION_FORMS:
         raise ValueError(f"permutation search capped at {MAX_PERMUTATION_FORMS} forms")
-    ring = build_skew_ring(sys.mu)
     bases: Dict[frozenset, GroebnerData] = {}
     verdicts: Dict[Tuple[frozenset, int], bool] = {}
 
@@ -340,8 +339,8 @@ def normalizing_check(sys: QuadricSystem, max_degree: int) -> NormalizingVerdict
         if (prefix, k) not in verdicts:
             gb = bases.get(prefix)
             if gb is None:
-                rels = list(ring.relations) + [sys.forms[j].as_ncpoly() for j in sorted(prefix)]
-                gb = bases[prefix] = groebner(PresentedAlgebra(sys.mu.n, rels), max_degree)
+                quotient = QuadricSystem(sys.mu, tuple(sys.forms[j] for j in sorted(prefix))).quotient()
+                gb = bases[prefix] = groebner(quotient, min(max_degree, 3))
             a = normal_form(sys.forms[k].as_ncpoly(), gb)
             # a form already zero in the quotient is trivially normal
             verdicts[prefix, k] = not a or is_normal(a, gb).normal
@@ -379,10 +378,7 @@ def base_point_free_check(sys: QuadricSystem, max_degree: int, assume_normalizin
     if assume_normalizing is None:
         assume_normalizing = normalizing_check(sys, max_degree).found
     warning = None if assume_normalizing else "system not verified normalizing; criterion applies to normalizing systems"
-    ring = build_skew_ring(sys.mu)
-    rels = list(ring.relations) + [q.as_ncpoly() for q in sys.forms if q]
-    gb = groebner(PresentedAlgebra(sys.mu.n, rels), max_degree)
-    verdict = finite_dim_check(gb)
+    verdict = finite_dim_check(groebner(sys.quotient(), max_degree))
     return BasePointVerdict(verdict.finite, verdict.dimension, verdict.bound, warning)
 
 

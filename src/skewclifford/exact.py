@@ -221,14 +221,8 @@ class ExactMatrix:
         i, j = ij
         return self.entries[i][j]
 
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix([[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)])
-
     def row(self, i) -> tuple:
         return self.entries[i]
-
-    def column(self, j) -> tuple:
-        return tuple(self.entries[i][j] for i in range(self.rows))
 
     def specialize(self, values: Sequence) -> "ExactMatrix":
         """Evaluate a ParamPoly matrix at numeric parameter values."""

@@ -146,9 +146,6 @@ class NcPoly:
             return degs.pop()
         return None
 
-    def is_homogeneous(self) -> bool:
-        return len({len(w) for w in self.terms}) <= 1
-
     def max_letter(self):
         letters = [i for w in self.terms for i in w]
         return max(letters) if letters else None

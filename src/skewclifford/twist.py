@@ -34,9 +34,6 @@ class DiagonalAutomorphism:
     def power(self, k: int) -> "DiagonalAutomorphism":
         return DiagonalAutomorphism(tuple(v**k for v in self.lambdas))
 
-    def as_linear_map(self) -> LinearMap:
-        return LinearMap.diagonal(self.lambdas)
-
     def apply(self, p: NcPoly) -> NcPoly:
         terms = {}
         for w, c in p.terms.items():

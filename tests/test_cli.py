@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -11,9 +12,11 @@ from importlib import resources
 import pytest
 
 import skewclifford
-from skewclifford import analyze
+from skewclifford import analyze, cli
 from skewclifford.cli import Flags, Report, SpecFileError, dispatch, emit_report, main, parse_spec
 from skewclifford.exact import Echelon
+
+from oracles import skew_quotient_dims
 
 
 def fixture_path(name: str) -> str:
@@ -260,8 +263,16 @@ def test_quotient_report_digest(command, name, capsys):
 
 
 # report_digest of each fixture's gb reports on the GSCA (the default
-# algebra) and on the skew ring, and of its regular report
+# algebra) and on the skew ring, and of its bpf, normalizing and regular reports
 REPORT_DIGESTS = {
+    ("bpf", "diag2.json"): "a67ca57250364604",
+    ("bpf", "diag3.json"): "fb2017942267dc66",
+    ("bpf", "example21.json"): "e70dc96b3b1cf978",
+    ("bpf", "qplane3.json"): "1477fa3d14fb4391",
+    ("normalizing", "diag2.json"): "b4b3509c08735615",
+    ("normalizing", "diag3.json"): "030b9bc622710c8f",
+    ("normalizing", "example21.json"): "8be435665baee1ad",
+    ("normalizing", "qplane3.json"): "7b07c689ece0cf1a",
     ("gb", "diag2.json"): "c7cd9a101338568c",
     ("gb", "diag3.json"): "6070a2f05a1b66c9",
     ("gb", "example21.json"): "c474ebbb80f42272",
@@ -283,6 +294,75 @@ def test_report_digest(command, name, capsys):
     assert report_digest([head, fixture_path(name), *flags], capsys) == REPORT_DIGESTS[(command, name)]
 
 
+class TestQuadricCommands:
+    """Commands on the quadric system read the spec's forms and build no Clifford presentation."""
+
+    @pytest.mark.parametrize(
+        ("command", "builds"),
+        [
+            ("bpf", 0),
+            ("normalizing", 0),
+            ("dim --algebra quotient", 0),
+            ("gb --algebra quotient", 0),
+            ("hilbert --algebra quotient", 0),
+            ("regular", 1),
+        ],
+    )
+    def test_build_count(self, command, builds, monkeypatch, capsys):
+        calls = []
+        original = cli.build_gsca
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(cli, "build_gsca", counted)
+        head, *flags = command.split()
+        assert main([head, fixture_path("example21.json"), *flags]) == 0
+        capsys.readouterr()
+        assert len(calls) == builds
+
+    @pytest.fixture
+    def dependent(self, tmp_path):
+        # diag(1,0) and diag(2,0): the skew-ring quotient is k[z1,z2]/(z1^2)
+        path = tmp_path / "dependent.json"
+        path.write_text(json.dumps({"n": 2, "forms": [[["1", "0"], ["0", "0"]], [["2", "0"], ["0", "0"]]]}))
+        return str(path)
+
+    def test_dependent_forms_have_a_quotient(self, dependent, capsys):
+        assert main(["hilbert", dependent, "--algebra", "quotient", "--format", "json"]) == 0
+        coefficients = json.loads(capsys.readouterr().out)["evidence"]["coefficients"]
+        assert coefficients == skew_quotient_dims([[1, 1], [1, 1]], [{(0, 0): 1}, {(0, 0): 2}], 6)
+        assert main(["normalizing", dependent, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["evidence"]["order"] == [1, 2]
+        for command in ("dim", "bpf"):
+            assert main([command, dependent]) == 1
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["build", "regular"])
+    def test_dependent_forms_have_no_clifford_presentation(self, dependent, command, capsys):
+        assert main([command, dependent]) == 2
+        assert "matrices linearly dependent" in capsys.readouterr().err
+
+
+def test_every_flag_but_the_format_enters_the_digest():
+    spec = parse_spec(fixture_path("diag2.json"))
+    changed = {
+        "max_deg": 7,
+        "fmt": "json",
+        "grid": 3,
+        "tau": "1,2",
+        "algebra": "skew",
+        "poly": "x1",
+        "side": "y",
+        "inverse": True,
+    }
+    base = dispatch("twist-check", spec, Flags()).digest
+    for f in dataclasses.fields(Flags):
+        digest = dispatch("twist-check", spec, Flags(**{f.name: changed[f.name]})).digest
+        assert (digest == base) == (f.name == "fmt"), f.name
+
+
 # an n=4 GSCA with fractional mu and forms, whose quotient basis has 18 elements
 HASHSEED_SPEC = {
     "n": 4,
@@ -302,12 +382,14 @@ def test_quotient_gb_report_is_independent_of_the_hash_seed(tmp_path):
     path.write_text(json.dumps(HASHSEED_SPEC))
     package_root = os.path.dirname(os.path.dirname(skewclifford.__file__))
     reports = {}
-    # regular exits 1: the spec fails its normalizing clause; the locus runs
-    # on the n=3 fixture, since the n=4 spec's locus is slow, and the theorem
-    # on diag2, whose mu is of twist type
+    # normalizing and regular exit 1: the spec fails its normalizing clause;
+    # the locus runs on the n=3 fixture, since the n=4 spec's locus is slow,
+    # and the theorem on diag2, whose mu is of twist type
     runs = (
         (str(path), ["gb", "--algebra", "quotient"], 0),
         (str(path), ["dim"], 0),
+        (str(path), ["bpf"], 0),
+        (str(path), ["normalizing"], 1),
         (str(path), ["regular"], 1),
         (str(path), ["normal", "x1", "--side", "ambient"], 0),
         (fixture_path("example21.json"), ["normal-locus", "--grid", "1"], 0),
@@ -327,6 +409,8 @@ def test_quotient_gb_report_is_independent_of_the_hash_seed(tmp_path):
     assert b'"normalizing": "FAIL"' in reports["regular"]
     assert b'"minor_count": 308' in reports["normal-locus"]
     assert b'"dimension": 11' in reports["dim"]
+    assert b'"dimension": 11' in reports["bpf"]
+    assert b'"orders_searched": 24' in reports["normalizing"]
     assert b'"normal": "PASS"' in reports["normal"]
     assert b'"construction": "PASS"' in reports["verify-theorem"]
 

@@ -8,7 +8,7 @@ import skewclifford as sk
 from skewclifford import analyze, clifford
 from skewclifford.clifford import _pair_expression
 from skewclifford.freealg import NcPoly
-from skewclifford.rewrite import PresentedAlgebra, groebner, normal_form
+from skewclifford.rewrite import DegreeBoundError, PresentedAlgebra, groebner, normal_form
 
 from conftest import example21_matrices, example21_mu, random_gca, random_mu, random_mu_symmetric
 
@@ -258,13 +258,17 @@ class TestNormalizing:
         verdict = sk.normalizing_check(system, 5)
         assert not verdict.found and verdict.order is None
 
-    def test_full_search_builds_each_prefix_set_once(self, monkeypatch):
+    @staticmethod
+    def four_form_system():
         # squares stay normal, and z1*z2 + z3*z4 is not normal since
         # mu_14 * mu_24 != mu_34, so all 4! orders fail at the mixed form
         grid = [[Fraction(1)] * 4 for _ in range(4)]
         grid[0][3], grid[3][0] = Fraction(2), Fraction(1, 2)
         forms = [sk.QuadraticForm(4, {(k, k): 1}) for k in range(3)]
-        system = sk.QuadricSystem(sk.validate_mu(grid), (*forms, sk.QuadraticForm(4, {(0, 1): 1, (2, 3): 1})))
+        return sk.QuadricSystem(sk.validate_mu(grid), (*forms, sk.QuadraticForm(4, {(0, 1): 1, (2, 3): 1})))
+
+    def test_full_search_builds_each_prefix_set_once(self, monkeypatch):
+        system = self.four_form_system()
         inputs, checks = [], []
         build, check = clifford.groebner, analyze.is_normal
 
@@ -284,6 +288,23 @@ class TestNormalizing:
         # (subset, next form) pair: 60 of each without the memo
         assert len(inputs) == len(set(inputs)) == 8
         assert len(checks) == 20
+
+    def test_prefix_bases_stop_at_degree_three(self, monkeypatch):
+        # is_normal of a quadric against the degree-one side reads degree 3
+        bounds = []
+        build = clifford.groebner
+
+        def record(alg, max_degree):
+            bounds.append(max_degree)
+            return build(alg, max_degree)
+
+        monkeypatch.setattr(clifford, "groebner", record)
+        assert not sk.normalizing_check(self.four_form_system(), 10).found
+        assert bounds == [3] * 8
+        bounds.clear()
+        with pytest.raises(DegreeBoundError, match="degree 3 exceeds completeness bound 2"):
+            sk.normalizing_check(self.four_form_system(), 2)
+        assert bounds == [2]
 
 
 class TestBasePointFree:
