@@ -17,30 +17,32 @@ from .clifford import (
     build_gsca,
     quadric_system_of,
 )
-from .exact import Echelon, ExactMatrix, ParamPoly, parametric_minors
-from .freealg import NcPoly
-from .rewrite import GroebnerData, degree_basis, normal_form
+from .exact import Echelon, ExactMatrix, ParamPoly, int_scaled, parametric_minors
+from .freealg import NcPoly, word_key
+from .rewrite import GroebnerData, normal_form
 from .twist import DiagonalAutomorphism, TwistVerdict, mu_from_lambdas, relation_span_equal, twist_criterion, twist_presentation
 
 
-def _default_side(gb: GroebnerData) -> List[NcPoly]:
-    return [NcPoly.generator(i) for i in range(gb.n)]
+def _element_and_side(a: NcPoly, gb: GroebnerData, side_basis: Optional[Sequence[NcPoly]]):
+    """(NF(a), the side list), the generators by default, for `is_normal` and `is_central`.
 
-
-def _check_side_degrees(a_deg: int, side: Sequence[NcPoly], gb: GroebnerData):
+    A zero NF(a) is returned before anything else is checked.  Otherwise a
+    must be homogeneous, every side element nonzero and homogeneous, and
+    every product of a with a side element within the completeness bound.
+    """
+    side = list(side_basis) if side_basis is not None else [NcPoly.generator(i) for i in range(gb.n)]
+    a = normal_form(a, gb)
+    if not a:
+        return a, side
+    a_deg = a.homogeneous_degree()
+    if a_deg is None:
+        raise ValueError("element must be homogeneous")
     for g in side:
         deg = g.homogeneous_degree()
         if deg is None:
             raise ValueError("side basis elements must be nonzero and homogeneous")
         gb.require(a_deg + deg)
-
-
-def _spread(combo: Tuple[Fraction, ...], indices: Sequence[int], size: int) -> Tuple[Fraction, ...]:
-    """Place coefficients over the side elements `indices` into a row over all `size` of them."""
-    row = [Fraction(0)] * size
-    for pos, h in enumerate(indices):
-        row[h] = combo[pos]
-    return tuple(row)
+    return a, side
 
 
 @dataclass(frozen=True)
@@ -55,40 +57,31 @@ def is_normal(a: NcPoly, gb: GroebnerData, side_basis: Optional[Sequence[NcPoly]
     """Single-degree normality of a against the span generated by side_basis.
 
     Checks g*a in span{a*h} and a*g in span{h*a} for every g in the side
-    basis (h ranging over side elements of the same degree as g).  For an
-    algebra generated by the side span this propagates to aA = Aa.
+    basis.  For an algebra generated by the side span this propagates to
+    aA = Aa.  Products of different degrees share no word, so one echelon
+    per side keeps the degrees apart: the scalars of g involve only the h
+    of g's degree.  The witness is the lowest failing side index, its left
+    containment before its right.
     """
-    side = list(side_basis) if side_basis is not None else _default_side(gb)
-    a = normal_form(a, gb)
+    a, side = _element_and_side(a, gb, side_basis)
     if not a:
         return NormalVerdict(True, None, {}, {})
-    a_deg = a.homogeneous_degree()
-    if a_deg is None:
-        raise ValueError("element must be homogeneous")
-    _check_side_degrees(a_deg, side, gb)
-    by_degree: Dict[int, List[int]] = {}
-    for idx, g in enumerate(side):
-        by_degree.setdefault(g.homogeneous_degree(), []).append(idx)
-
+    s = len(side)
+    left_mults = [normal_form(g * a, gb).terms for g in side]
+    right_mults = [normal_form(a * g, gb).terms for g in side]
+    right_span, left_span = Echelon(), Echelon()
+    for h in range(s):
+        right_span.add(right_mults[h], tag=h)
+        left_span.add(left_mults[h], tag=h)
     left: Dict[int, Tuple[Fraction, ...]] = {}
     right: Dict[int, Tuple[Fraction, ...]] = {}
-    for indices in by_degree.values():
-        # side[h]*a must lie in span{a*side[h']} and a*side[h] in span{side[h']*a}
-        left_mults = [normal_form(side[h] * a, gb).terms for h in indices]
-        right_mults = [normal_form(a * side[h], gb).terms for h in indices]
-        right_span, left_span = Echelon(), Echelon()
-        for pos in range(len(indices)):
-            right_span.add(right_mults[pos], tag=pos)
-            left_span.add(left_mults[pos], tag=pos)
-        for pos, g in enumerate(indices):
-            combo = right_span.solve(left_mults[pos], len(indices))
-            if combo is None:
-                return NormalVerdict(False, ("left", g), None, None)
-            left[g] = _spread(combo, indices, len(side))
-            combo = left_span.solve(right_mults[pos], len(indices))
-            if combo is None:
-                return NormalVerdict(False, ("right", g), None, None)
-            right[g] = _spread(combo, indices, len(side))
+    for g in range(s):
+        left[g] = right_span.solve(left_mults[g], s)
+        if left[g] is None:
+            return NormalVerdict(False, ("left", g), None, None)
+        right[g] = left_span.solve(right_mults[g], s)
+        if right[g] is None:
+            return NormalVerdict(False, ("right", g), None, None)
     return NormalVerdict(True, None, left, right)
 
 
@@ -100,14 +93,9 @@ class CentralVerdict:
 
 def is_central(a: NcPoly, gb: GroebnerData, side_basis: Optional[Sequence[NcPoly]] = None) -> CentralVerdict:
     """Check NF(g*a - a*g) = 0 for every g in the side basis."""
-    side = list(side_basis) if side_basis is not None else _default_side(gb)
-    a = normal_form(a, gb)
+    a, side = _element_and_side(a, gb, side_basis)
     if not a:
         return CentralVerdict(True, None)
-    a_deg = a.homogeneous_degree()
-    if a_deg is None:
-        raise ValueError("element must be homogeneous")
-    _check_side_degrees(a_deg, side, gb)
     for idx, g in enumerate(side):
         if normal_form(g * a - a * g, gb):
             return CentralVerdict(False, idx)
@@ -211,9 +199,10 @@ def normal_locus_in_span(
     (left, g) asks that side[g] * a lie in the span of the columns
     a * side[h], and (right, g) the mirror; `is_normal` asks this of every
     family.  So the containment matrices have entries linear in the
-    parameters.  Vanishing of all maximal minors of each augmented matrix
-    is necessary for normality; a nonzero minor at a grid point is a sound
-    not-normal certificate.
+    parameters, and their rows are the words the s + 1 columns hold, in
+    deglex order (every other row is zero).  Vanishing of all maximal
+    minors of each augmented matrix is necessary for normality; a nonzero
+    minor at a grid point is a sound not-normal certificate.
 
     One `Echelon` per side of its s columns decides whole families.  When
     the augmented column lies in the span of the columns, the family is
@@ -248,20 +237,12 @@ def normal_locus_in_span(
         if any(any(_at_point(a_flat, point).values()) for point in grid):
             raise ValueError("side basis elements must be nonzero and homogeneous")
     variables = tuple(f"c{k + 1}" for k in range(m))
-    words = degree_basis(gb, total)
     # side[h] * a and a * side[h]: the right family's columns and the left
     # family's augmented columns, and the other way round
     side_a = [_flatten([normal_form(h * g, gb) for g in gens]) for h in side]
     a_side = [_flatten([normal_form(g * h, gb) for g in gens]) for h in side]
     units = [tuple(1 if t == k else 0 for t in range(m)) for k in range(m)]
-
-    def linear_entry(flat: Dict[Tuple[tuple, int], Fraction], word: tuple) -> ParamPoly:
-        terms = {}
-        for k in range(m):
-            c = flat.get((word, k))
-            if c:
-                terms[units[k]] = c
-        return ParamPoly._make(variables, terms)
+    zero = ParamPoly._make(variables, {})
 
     minors: List[MinorRecord] = []
     open_sides = []  # (columns, augmented columns, families not contained everywhere) per side
@@ -276,14 +257,13 @@ def normal_locus_in_span(
             open_sides.append((col_flats, aug_flats, open_g))
         if len(columns) < s:
             continue  # dependent columns: every minor zero
+        col_cells = [_cells(flat, variables, units) for flat in col_flats]
         for g in open_g:
-            flats = [*col_flats, aug_flats[g]]
-            rows = []
-            for w in words:
-                row = [linear_entry(flat, w) for flat in flats]
-                if any(row):
-                    rows.append(row)
-            if len(rows) >= s + 1:
+            cells = [*col_cells, _cells(aug_flats[g], variables, units)]
+            # the rows are the words some column holds: every other row is zero
+            words = sorted({w for column in cells for w in column}, key=word_key)
+            if len(words) >= s + 1:
+                rows = [[column.get(w, zero) for column in cells] for w in words]
                 for poly in parametric_minors(ExactMatrix(rows), s + 1):
                     if poly:
                         minors.append(MinorRecord(side_name, g, poly))
@@ -294,9 +274,8 @@ def normal_locus_in_span(
     slot = {e: j for j, e in enumerate(monomials)}
     scaled_minors = []
     for record in minors:
-        # lcm of a list, not of a generator (see rewrite.reduce_poly)
-        den = math.lcm(*[c.denominator for c in record.poly.terms.values()])
-        scaled_minors.append([(slot[e], c.numerator * (den // c.denominator)) for e, c in record.poly.terms.items()])
+        _, ints = int_scaled(record.poly.terms)
+        scaled_minors.append([(slot[e], c) for e, c in ints.items()])
 
     points: List[PointVerdict] = []
     for point in grid:
@@ -325,6 +304,14 @@ def normal_locus_in_span(
 def _flatten(polys: Sequence[NcPoly]) -> Dict[Tuple[tuple, int], Fraction]:
     """One vector over (word, k) keys from the polys[k], one per parameter."""
     return {(w, k): c for k, p in enumerate(polys) for w, c in p.terms.items()}
+
+
+def _cells(flat: Dict[Tuple[tuple, int], Fraction], variables: Tuple[str, ...], units) -> Dict[tuple, ParamPoly]:
+    """The entries of one column over (word, k) as linear ParamPolys sum_k c * c_k, one per word it holds."""
+    terms: Dict[tuple, dict] = {}
+    for (w, k), c in flat.items():
+        terms.setdefault(w, {})[units[k]] = c
+    return {w: ParamPoly._make(variables, t) for w, t in terms.items()}
 
 
 def _at_point(flat: Dict[Tuple[tuple, int], Fraction], values: Sequence) -> Dict[tuple, Fraction]:
@@ -446,7 +433,7 @@ def verify_twist_theorem(matrices: Sequence, tau: DiagonalAutomorphism, through:
     report = TheoremReport(criterion=twist_criterion(mu))
 
     warnings = []
-    bpf = base_point_free_check(quadric_system_of(B), 2 * n + 2, assume_normalizing=True)
+    bpf = base_point_free_check(quadric_system_of(B), 2 * n + 2)
     if not bpf.base_point_free:
         warnings.append("quadric system of B not verified base-point-free; theorem hypotheses not established")
 

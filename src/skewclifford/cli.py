@@ -26,7 +26,7 @@ from .clifford import (
 )
 from .exact import parse_scalar, scalar_str
 from .freealg import parse_poly, poly_str
-from .rewrite import finite_dim_check, groebner, hilbert_coeffs, normal_form
+from .rewrite import DegreeBoundError, finite_dim_check, groebner, hilbert_coeffs, normal_form
 from .twist import DiagonalAutomorphism, twist_criterion, twist_presentation
 
 class SpecFileError(ValueError):
@@ -266,8 +266,16 @@ def _handle_dim(spec, flags):
 
 
 def _handle_bpf(spec, flags):
-    verdict = base_point_free_check(_quadric_system(spec), _bound(spec, flags))
-    evidence = {"dimension": verdict.dimension, "bound": verdict.bound, "warning": verdict.warning}
+    system, bound = _quadric_system(spec), _bound(spec, flags)
+    # the criterion characterizes base-point freeness only for normalizing
+    # systems; below degree 3 the search cannot run, so none is verified
+    try:
+        normalizing = normalizing_check(system, bound).found
+    except DegreeBoundError:
+        normalizing = False
+    verdict = base_point_free_check(system, bound)
+    warning = None if normalizing else "system not verified normalizing; criterion applies to normalizing systems"
+    evidence = {"dimension": verdict.dimension, "bound": verdict.bound, "warning": warning}
     return {"base-point-free": "PASS" if verdict.base_point_free else "FAIL"}, evidence, verdict.base_point_free
 
 
@@ -330,19 +338,19 @@ def _handle_twist(spec, flags):
     return {"twist": "PASS"}, evidence, True
 
 
-def _side_basis(spec, flags, pres, gb):
-    if flags.side == "y":
-        return pres.y_normal_forms(gb)
-    return None  # ambient degree-one generators
-
-
-def _handle_normal(spec, flags):
+def _element_verdict(spec, flags, command: str, check):
+    """check(element, basis, side) on the polynomial argument, for `normal` and `central`."""
     if flags.poly is None:
-        raise ValueError("normal needs a polynomial argument")
+        raise ValueError(f"{command} needs a polynomial argument")
     pres = _build(spec)
     gb = pres.groebner(_bound(spec, flags))
     p = parse_poly(flags.poly, spec.n)
-    verdict = analyze.is_normal(normal_form(p, gb), gb, _side_basis(spec, flags, pres, gb))
+    # the ambient side (None) is the degree-one generators
+    return check(p, gb, pres.y_normal_forms(gb) if flags.side == "y" else None)
+
+
+def _handle_normal(spec, flags):
+    verdict = _element_verdict(spec, flags, "normal", analyze.is_normal)
     evidence: Dict[str, object] = {"element": flags.poly, "side": flags.side}
     if verdict.normal:
         evidence["left_scalars"] = {str(g + 1): [scalar_str(c) for c in row] for g, row in verdict.left.items()}
@@ -354,12 +362,7 @@ def _handle_normal(spec, flags):
 
 
 def _handle_central(spec, flags):
-    if flags.poly is None:
-        raise ValueError("central needs a polynomial argument")
-    pres = _build(spec)
-    gb = pres.groebner(_bound(spec, flags))
-    p = parse_poly(flags.poly, spec.n)
-    verdict = analyze.is_central(normal_form(p, gb), gb, _side_basis(spec, flags, pres, gb))
+    verdict = _element_verdict(spec, flags, "central", analyze.is_central)
     evidence: Dict[str, object] = {"element": flags.poly, "side": flags.side}
     if not verdict.central:
         evidence["witness"] = {"generator": verdict.witness + 1}

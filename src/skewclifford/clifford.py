@@ -295,7 +295,7 @@ def check_gca_centrality(pres: CliffordPresentation, a: NcPoly, b: NcPoly, depth
     gb = pres.groebner(max(depth, 3))
     from .analyze import is_central  # local import avoids a module cycle
 
-    return is_central(normal_form(a * b + b * a, gb), gb)
+    return is_central(a * b + b * a, gb)
 
 
 def quadric_system_of(pres: CliffordPresentation) -> QuadricSystem:
@@ -341,9 +341,7 @@ def normalizing_check(sys: QuadricSystem, max_degree: int) -> NormalizingVerdict
             if gb is None:
                 quotient = QuadricSystem(sys.mu, tuple(sys.forms[j] for j in sorted(prefix))).quotient()
                 gb = bases[prefix] = groebner(quotient, min(max_degree, 3))
-            a = normal_form(sys.forms[k].as_ncpoly(), gb)
-            # a form already zero in the quotient is trivially normal
-            verdicts[prefix, k] = not a or is_normal(a, gb).normal
+            verdicts[prefix, k] = is_normal(sys.forms[k].as_ncpoly(), gb).normal
         return verdicts[prefix, k]
 
     given = tuple(range(m))
@@ -361,7 +359,6 @@ class BasePointVerdict:
     base_point_free: bool
     dimension: Optional[int]
     bound: int
-    warning: Optional[str] = None
 
     def __str__(self):
         if self.base_point_free:
@@ -369,17 +366,15 @@ class BasePointVerdict:
         return f"has-or-unknown at bound {self.bound}"
 
 
-def base_point_free_check(sys: QuadricSystem, max_degree: int, assume_normalizing: Optional[bool] = None) -> BasePointVerdict:
+def base_point_free_check(sys: QuadricSystem, max_degree: int) -> BasePointVerdict:
     """Finite-dimensionality of the skew ring modulo the quadric system.
 
     The finite-dimension criterion characterizes base-point freeness only
-    for normalizing systems; a warning is attached otherwise.
+    for normalizing systems; callers that rely on it establish that
+    hypothesis themselves (`normalizing_check`).
     """
-    if assume_normalizing is None:
-        assume_normalizing = normalizing_check(sys, max_degree).found
-    warning = None if assume_normalizing else "system not verified normalizing; criterion applies to normalizing systems"
     verdict = finite_dim_check(groebner(sys.quotient(), max_degree))
-    return BasePointVerdict(verdict.finite, verdict.dimension, verdict.bound, warning)
+    return BasePointVerdict(verdict.finite, verdict.dimension, verdict.bound)
 
 
 @dataclass(frozen=True)
@@ -403,7 +398,7 @@ def regularity_verdict(pres: CliffordPresentation, max_degree: int) -> Regularit
     """
     system = quadric_system_of(pres)
     norm = normalizing_check(system, max_degree)
-    bpf = base_point_free_check(system, max_degree, assume_normalizing=norm.found)
+    bpf = base_point_free_check(system, max_degree)
     regular = norm.found and bpf.base_point_free
     expected = computed = None
     hilbert_ok = None

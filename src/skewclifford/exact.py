@@ -8,7 +8,7 @@ import math
 import operator
 import re
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Optional, Sequence
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 Scalar = Fraction
 
@@ -42,6 +42,33 @@ def parse_scalar(text) -> Fraction:
 def scalar_str(x: Fraction) -> str:
     """Render a rational as "p/q", with "/q" omitted when q = 1."""
     return str(x)
+
+
+def join_terms(parts: Iterable[Tuple[Fraction, str]]) -> str:
+    """Render (coefficient, monomial) pairs as "m1 - 2*m2 + 1/2"; an empty monomial is a constant, no pairs is "0"."""
+    pieces = []
+    for c, mono in parts:
+        if not mono:
+            body = scalar_str(abs(c))
+        elif abs(c) == 1:
+            body = mono
+        else:
+            body = f"{scalar_str(abs(c))}*{mono}"
+        if pieces:
+            pieces.append(f"{'-' if c < 0 else '+'} {body}")
+        else:
+            pieces.append(f"-{body}" if c < 0 else body)
+    return " ".join(pieces) if pieces else "0"
+
+
+def int_scaled(coeffs: Mapping) -> Tuple[int, Dict]:
+    """(s, {key: c * s}) with s the lcm of the denominators of the Fraction values, so every value is an int."""
+    # lcm of a list, not of a generator: unpacking a generator builds the
+    # argument tuple by resizing one of a guessed size, so every call takes a
+    # tuple from one size's free list and returns it to another's, and those
+    # lists fill up and hold memory (about 1 MB over a few hundred jobs)
+    scale = math.lcm(*[c.denominator for c in coeffs.values()])
+    return scale, {k: c.numerator * (scale // c.denominator) for k, c in coeffs.items()}
 
 
 class ParamPoly:
@@ -163,30 +190,11 @@ class ParamPoly:
         return total
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for exp in sorted(self.terms, key=lambda e: (sum(e), e), reverse=True):
-            c = self.terms[exp]
-            factors = []
-            for name, e in zip(self.variables, exp):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            mono = "*".join(factors)
-            if not mono:
-                body = scalar_str(abs(c))
-            elif abs(c) == 1:
-                body = mono
-            else:
-                body = f"{scalar_str(abs(c))}*{mono}"
-            parts.append(("-" if c < 0 else "+", body))
-        sign, body = parts[0]
-        out = ("-" if sign == "-" else "") + body
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
+        def monomial(exp):
+            return "*".join(name if e == 1 else f"{name}^{e}" for name, e in zip(self.variables, exp) if e)
+
+        order = sorted(self.terms, key=lambda e: (sum(e), e), reverse=True)
+        return join_terms((self.terms[exp], monomial(exp)) for exp in order)
 
     def __repr__(self):
         return f"ParamPoly({self})"
@@ -411,7 +419,7 @@ class _MinorTable:
         self.scales = []
         for row in entries:
             lifted = [_lift(e, variables).terms for e in row]
-            # lcm of a list, not of a generator (see rewrite.reduce_poly)
+            # `int_scaled` over every cell of the row (a list, not a generator: see there)
             scale = math.lcm(*[c.denominator for terms in lifted for c in terms.values()])
             self.cells.append([{e: c.numerator * (scale // c.denominator) for e, c in t.items()} for t in lifted])
             self.scales.append(scale)

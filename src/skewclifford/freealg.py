@@ -6,7 +6,7 @@ import re
 from fractions import Fraction
 from typing import Iterator, Sequence, Tuple
 
-from .exact import ExactMatrix, parse_scalar, rref, scalar_str
+from .exact import ExactMatrix, join_terms, parse_scalar, rref
 
 # Words are tuples of 0-based generator indices; rendering is 1-based.
 Word = Tuple[int, ...]
@@ -37,6 +37,13 @@ class NcPoly:
             if c:
                 clean[tuple(w)] = c
         self.terms = clean
+
+    @classmethod
+    def _make(cls, terms: dict) -> "NcPoly":
+        """Wrap terms that are already canonical (tuple words, nonzero Fractions) without re-validating."""
+        p = object.__new__(cls)
+        p.terms = terms
+        return p
 
     @classmethod
     def zero(cls) -> "NcPoly":
@@ -77,14 +84,10 @@ class NcPoly:
                     terms[w] = s
                 else:
                     del terms[w]
-        out = NcPoly.__new__(NcPoly)
-        out.terms = terms
-        return out
+        return NcPoly._make(terms)
 
     def __neg__(self) -> "NcPoly":
-        out = NcPoly.__new__(NcPoly)
-        out.terms = {w: -c for w, c in self.terms.items()}
-        return out
+        return NcPoly._make({w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other: "NcPoly") -> "NcPoly":
         return self + (-other)
@@ -105,9 +108,7 @@ class NcPoly:
                         terms[w] = s
                     else:
                         del terms[w]
-        out = NcPoly.__new__(NcPoly)
-        out.terms = terms
-        return out
+        return NcPoly._make(terms)
 
     def __rmul__(self, other) -> "NcPoly":
         return self.scale(other)
@@ -116,9 +117,7 @@ class NcPoly:
         c = Fraction(c)
         if not c:
             return NcPoly.zero()
-        out = NcPoly.__new__(NcPoly)
-        out.terms = {w: c * v for w, v in self.terms.items()}
-        return out
+        return NcPoly._make({w: c * v for w, v in self.terms.items()})
 
     def lead_word(self) -> Word:
         if not self.terms:
@@ -241,10 +240,8 @@ def apply_linear(phi: LinearMap, p: NcPoly) -> NcPoly:
 
 def poly_str(p: NcPoly, letter: str = "x") -> str:
     """Render as e.g. "x1*x2 + 2*x2*x1 - x3^2" (caret only for repeated letters)."""
-    if not p.terms:
-        return "0"
-    parts = []
-    for w, c in p.sorted_terms():
+
+    def monomial(w: Word) -> str:
         factors = []
         i = 0
         while i < len(w):
@@ -254,19 +251,9 @@ def poly_str(p: NcPoly, letter: str = "x") -> str:
             name = f"{letter}{w[i] + 1}"
             factors.append(name if j - i == 1 else f"{name}^{j - i}")
             i = j
-        mono = "*".join(factors)
-        if not mono:
-            body = scalar_str(abs(c))
-        elif abs(c) == 1:
-            body = mono
-        else:
-            body = f"{scalar_str(abs(c))}*{mono}"
-        parts.append(("-" if c < 0 else "+", body))
-    sign, body = parts[0]
-    out = ("-" if sign == "-" else "") + body
-    for sign, body in parts[1:]:
-        out += f" {sign} {body}"
-    return out
+        return "*".join(factors)
+
+    return join_terms((c, monomial(w)) for w, c in p.sorted_terms())
 
 
 _TOKEN_RE = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<gen>[A-Za-z]\d+)|(?P<op>[+\-*^]))")

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Union
 
+from .exact import int_scaled
 from .freealg import MAX_GENERATORS, NcPoly, Word, word_key
 
 
@@ -81,9 +82,8 @@ class _LeadIndex:
     def add(self, lw: Word, g: NcPoly) -> None:
         """Index g under its leading word lw, replacing any rule indexed there."""
         self.by_lead[lw] = g
-        rest = [(w, c) for w, c in g.terms.items() if w != lw]
-        scale = math.lcm(*[c.denominator for _, c in rest])
-        self._tails[lw] = (scale, tuple((w, -c.numerator * (scale // c.denominator)) for w, c in rest))
+        scale, rest = int_scaled({w: c for w, c in g.terms.items() if w != lw})
+        self._tails[lw] = (scale, tuple((w, -t) for w, t in rest.items()))
         if len(lw) not in self.lengths:
             bisect.insort(self.lengths, len(lw))
 
@@ -130,12 +130,7 @@ def reduce_poly(p: NcPoly, basis: Union[Sequence[NcPoly], _LeadIndex]) -> NcPoly
         return p
     match = rules.match
     gcd = math.gcd
-    # lcm of a list, not of a generator: unpacking a generator builds the
-    # argument tuple by resizing one of a guessed size, so every call takes a
-    # tuple from one size's free list and returns it to another's, and those
-    # lists fill up and hold memory (about 1 MB over a few hundred jobs)
-    den = math.lcm(*[c.denominator for c in p.terms.values()])
-    terms = {w: c.numerator * (den // c.denominator) for w, c in p.terms.items()}
+    den, terms = int_scaled(p.terms)
     heap = [(_descending(w), w) for w in terms]
     heapq.heapify(heap)
     done = {}
@@ -171,9 +166,7 @@ def reduce_poly(p: NcPoly, basis: Union[Sequence[NcPoly], _LeadIndex]) -> NcPoly
                     terms[nw] = s
                 else:
                     del terms[nw]
-    out = NcPoly.__new__(NcPoly)
-    out.terms = done
-    return out
+    return NcPoly._make(done)
 
 
 def _interreduce(rules: _LeadIndex, polys: Sequence[NcPoly]) -> None:
@@ -275,9 +268,7 @@ def _s_polynomial(a: Word, f: NcPoly, g: NcPoly, b: Word) -> NcPoly:
                 terms[w] = s
             else:
                 del terms[w]
-    out = NcPoly.__new__(NcPoly)
-    out.terms = terms
-    return out
+    return NcPoly._make(terms)
 
 
 def groebner(alg: PresentedAlgebra, max_degree: int) -> GroebnerData:

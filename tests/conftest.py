@@ -80,7 +80,7 @@ def random_gca(rng: random.Random, n: int = 3) -> "sk.CliffordPresentation":
         except ValueError:
             continue
         system = sk.quadric_system_of(pres)
-        bpf = sk.base_point_free_check(system, 2 * n + 2, assume_normalizing=True)
+        bpf = sk.base_point_free_check(system, 2 * n + 2)
         if bpf.base_point_free:
             return pres
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import skewclifford as sk
 import skewclifford.analyze as analyze_module
+import skewclifford.rewrite as rewrite_module
 from skewclifford.analyze import (
     build_r_elements,
     default_grid,
@@ -99,6 +100,46 @@ class TestIsNormal:
         gb = pres.groebner(2)
         with pytest.raises(DegreeBoundError):
             is_normal(NcPoly.generator(0) * NcPoly.generator(1), gb)
+
+    def test_mixed_degree_sides_agree_with_per_degree_calls(self, ex21):
+        """One call on a shuffled side of x's and y's equals one call per degree, spread over the side.
+
+        The witness is the lowest failing side index, left before right.
+        """
+        rng = random.Random(0)
+        seen = set()
+        diag3 = sk.build_gca(diag_grids(3))
+        for pres in (ex21[2], diag3, quantum_pair(), seeded_gsca(1, 3, NONZERO_SMALL)):
+            gb = pres.groebner(4)
+            x = [NcPoly.generator(i) for i in range(pres.n)]
+            y = [v for v in pres.y_normal_forms(gb) if v]
+            for a in [*x, *y]:
+                for _ in range(3):
+                    side = [*x, *y]
+                    rng.shuffle(side)
+                    verdict = is_normal(a, gb, side)
+                    groups = {}
+                    for i, g in enumerate(side):
+                        groups.setdefault(g.homogeneous_degree(), []).append(i)
+                    parts = [(idx, is_normal(a, gb, [side[i] for i in idx])) for idx in groups.values()]
+                    # (side index, containment) of each degree's witness, in degree-group order
+                    failing = [(idx[v.witness[1]], v.witness[0]) for idx, v in parts if not v.normal]
+                    assert verdict.normal == (not failing)
+                    if failing:
+                        index, containment = min(failing)
+                        assert verdict.witness == (containment, index)
+                        seen.add("lowest first" if index != failing[0][0] else "not normal")
+                        continue
+                    seen.add("normal")
+                    for idx, v in parts:
+                        for pos, g in enumerate(idx):
+                            for full, part in ((verdict.left, v.left), (verdict.right, v.right)):
+                                row = [Fraction(0)] * len(side)
+                                for q, h in enumerate(idx):
+                                    row[h] = part[pos][q]
+                                assert full[g] == tuple(row)
+        # "lowest first": the degree-group order would name another witness
+        assert seen == {"normal", "not normal", "lowest first"}
 
 
 class TestIsCentral:
@@ -219,6 +260,19 @@ class TestNormalLocus:
     def test_default_grid_rejects_radius_below_one(self, radius):
         with pytest.raises(ValueError, match="radius"):
             default_grid(2, radius)
+
+    def test_rows_come_from_the_products_not_the_word_basis(self, ex21, monkeypatch):
+        # count degree_basis at every binding a caller could reach it by
+        calls = []
+        for module in (sk, analyze_module, rewrite_module):
+            original = getattr(module, "degree_basis", None)
+            if original is not None:
+                monkeypatch.setattr(module, "degree_basis", lambda *a, _f=original: calls.append(a) or _f(*a))
+        _, _, pres, gb = ex21
+        y = pres.y_normal_forms(gb)
+        report = normal_locus_in_span(gb, y, y, default_grid(3, 1))
+        assert calls == []
+        assert len(report.minors) == 308
 
 
 def element_at(point, gens):
@@ -399,6 +453,34 @@ class TestLocusColumnTest:
 
         check()
         assert {"contained", "dependent", "expanded", ("all contained", True), ("all contained", False)} <= seen
+
+    def test_minors_are_every_nonzero_minor_over_every_word(self):
+        """The minor list is, family by family, every nonzero (s+1)-minor over all rows, by the oracle.
+
+        A one-generator span with the x side gives augmented columns that
+        hold words no column holds, so those rows carry minors too.
+        """
+        extra_rows = 0
+        for kind in ("gca", "gsca"):
+            for n in (2, 3):
+                for seed in range(3):
+                    rng = random.Random(seed)
+                    pres = random_gca(rng, n) if kind == "gca" else seeded_gsca(seed, n, (1, -1, 2, Fraction(1, 2), 3))
+                    gb = pres.groebner(3)
+                    x = [NcPoly.generator(i) for i in range(n)]
+                    for gens in (x, x[:1]):
+                        m = len(gens)
+                        expected = []
+                        for (name, g), cols in self.families(gb, gens, x).items():
+                            extra_rows += bool(set(cols[n]) - {w for col in cols[:n] for w in col})
+                            rows = [[col.get(w, 0) for col in cols] for w in sorted({w for col in cols for w in col})]
+                            for rsub in itertools.combinations(rows, n + 1):
+                                det = leibniz_det(rsub, m)
+                                if det:
+                                    expected.append((name, g, det))
+                        report = normal_locus_in_span(gb, gens, x, default_grid(m, 1))
+                        assert [(r.side, r.g_index, r.poly.terms) for r in report.minors] == expected
+        assert extra_rows
 
 
 class TestRElements:

@@ -382,16 +382,23 @@ def test_quotient_gb_report_is_independent_of_the_hash_seed(tmp_path):
     path.write_text(json.dumps(HASHSEED_SPEC))
     package_root = os.path.dirname(os.path.dirname(skewclifford.__file__))
     reports = {}
-    # normalizing and regular exit 1: the spec fails its normalizing clause;
+    # normalizing and regular exit 1: the spec fails its normalizing clause,
+    # twist-check its criterion, and x1 is not central;
     # the locus runs on the n=3 fixture, since the n=4 spec's locus is slow,
     # and the theorem on diag2, whose mu is of twist type
     runs = (
+        (str(path), ["build"], 0),
         (str(path), ["gb", "--algebra", "quotient"], 0),
+        (str(path), ["nf", "x1*x2*x3"], 0),
+        (str(path), ["hilbert"], 0),
+        (str(path), ["twist", "--tau", "1,2,3,5"], 0),
+        (str(path), ["twist-check"], 1),
         (str(path), ["dim"], 0),
         (str(path), ["bpf"], 0),
         (str(path), ["normalizing"], 1),
         (str(path), ["regular"], 1),
         (str(path), ["normal", "x1", "--side", "ambient"], 0),
+        (str(path), ["central", "x1"], 1),
         (fixture_path("example21.json"), ["normal-locus", "--grid", "1"], 0),
         (fixture_path("diag2.json"), ["verify-theorem"], 0),
     )
@@ -413,6 +420,50 @@ def test_quotient_gb_report_is_independent_of_the_hash_seed(tmp_path):
     assert b'"orders_searched": 24' in reports["normalizing"]
     assert b'"normal": "PASS"' in reports["normal"]
     assert b'"construction": "PASS"' in reports["verify-theorem"]
+    assert b'"y1": "2*x1^2"' in reports["build"]
+    assert b'"normal_form": "x1*x2*x3"' in reports["nf"]
+    assert b'"through": 10' in reports["hilbert"]
+    assert b'"-2/15*x1*x4 + x4*x1"' in reports["twist"]
+    assert b'"mu_ik": "-1/2"' in reports["twist-check"]
+    assert b'"generator": 2' in reports["central"]
+
+
+NOT_NORMALIZING = "system not verified normalizing; criterion applies to normalizing systems"
+
+
+class TestBpfWarning:
+    """`bpf` runs the normalizing search for its warning; the criterion itself reads one quotient basis."""
+
+    @staticmethod
+    def bpf(path, capsys, *flags):
+        code = main(["bpf", path, *flags, "--format", "json"])
+        report = json.loads(capsys.readouterr().out)
+        return code, report["verdicts"], report["evidence"]
+
+    def test_no_warning_on_a_normalizing_system(self, capsys):
+        assert self.bpf(fixture_path("example21.json"), capsys) == (
+            0, {"base-point-free": "PASS"}, {"bound": 8, "dimension": 8, "warning": None}
+        )
+
+    def test_warning_after_a_failed_search(self, tmp_path, capsys):
+        path = tmp_path / "gsca4.json"
+        path.write_text(json.dumps(HASHSEED_SPEC))
+        assert main(["normalizing", str(path), "--format", "json"]) == 1
+        assert json.loads(capsys.readouterr().out)["evidence"]["orders_searched"] == 24
+        assert self.bpf(str(path), capsys) == (
+            0, {"base-point-free": "PASS"}, {"bound": 10, "dimension": 11, "warning": NOT_NORMALIZING}
+        )
+
+    @pytest.mark.parametrize("name", ALL_FIXTURES)
+    def test_below_degree_three_no_search_is_verified(self, name, capsys):
+        # the search needs degree 3, so bound 2 gives the verdict with the warning
+        assert self.bpf(fixture_path(name), capsys, "--max-deg", "2") == (
+            1, {"base-point-free": "FAIL"}, {"bound": 2, "dimension": None, "warning": NOT_NORMALIZING}
+        )
+
+    def test_bound_one_is_still_an_error(self, capsys):
+        assert main(["bpf", fixture_path("diag2.json"), "--max-deg", "1"]) == 2
+        assert "max_degree must be >= 2" in capsys.readouterr().err
 
 
 def locus_report(argv, capsys):

@@ -13,6 +13,10 @@ from skewclifford.rewrite import DegreeBoundError, PresentedAlgebra, groebner, n
 from conftest import example21_matrices, example21_mu, random_gca, random_mu, random_mu_symmetric
 
 
+def raise_on_call(*args):
+    raise AssertionError("unexpected normal_form call")
+
+
 class TestValidateMu:
     def test_worked_example(self):
         mu = example21_mu()
@@ -218,6 +222,11 @@ class TestGcaCentrality:
                 continue
             assert sk.check_gca_centrality(pres, a, b, 4).central
 
+    def test_passes_the_anticommutator_as_it_is(self, monkeypatch):
+        # is_central normal-forms its element; the check forms none of its own
+        monkeypatch.setattr(clifford, "normal_form", raise_on_call)
+        assert sk.check_gca_centrality(self.diag3(), NcPoly.generator(0), NcPoly.generator(1), 4).central
+
     def test_requires_ones_mu(self):
         mu = example21_mu()
         pres = sk.build_gsca(mu, example21_matrices(mu))
@@ -289,6 +298,17 @@ class TestNormalizing:
         assert len(inputs) == len(set(inputs)) == 8
         assert len(checks) == 20
 
+    def test_forms_reach_is_normal_as_they_are(self, ex21, monkeypatch):
+        # is_normal normal-forms each form and settles a zero one; the search forms no normal form itself
+        monkeypatch.setattr(clifford, "normal_form", raise_on_call)
+        verdict = sk.normalizing_check(sk.quadric_system_of(ex21[2]), 6)
+        assert verdict.found and verdict.order == (0, 1, 2)
+        verdict = sk.normalizing_check(self.four_form_system(), 4)
+        assert not verdict.found and verdict.searched == 24
+        # z1^2 listed twice: the second copy is zero modulo the first
+        square = sk.QuadraticForm(2, {(0, 0): 1})
+        assert sk.normalizing_check(sk.QuadricSystem(sk.MuMatrix.ones(2), (square, square)), 3).found
+
     def test_prefix_bases_stop_at_degree_three(self, monkeypatch):
         # is_normal of a quadric against the degree-one side reads degree 3
         bounds = []
@@ -311,7 +331,7 @@ class TestBasePointFree:
     def test_worked_example(self, ex21):
         _, _, pres, _ = ex21
         verdict = sk.base_point_free_check(sk.quadric_system_of(pres), 8)
-        assert verdict.base_point_free and verdict.dimension == 8 and verdict.warning is None
+        assert verdict.base_point_free and verdict.dimension == 8
 
     def test_single_square_not_free(self):
         system = sk.QuadricSystem(sk.MuMatrix.ones(3), (sk.QuadraticForm(3, {(0, 0): 2}),))
@@ -322,13 +342,6 @@ class TestBasePointFree:
         forms = tuple(sk.QuadraticForm(3, {(k, k): 2}) for k in range(3))
         verdict = sk.base_point_free_check(sk.QuadricSystem(sk.MuMatrix.ones(3), forms), 8)
         assert verdict.base_point_free and verdict.dimension == 8
-
-    def test_warning_without_normalizing(self):
-        mu = sk.validate_mu([[1, 2], [Fraction(1, 2), 1]])
-        system = sk.QuadricSystem(mu, (sk.QuadraticForm(2, {(0, 0): 1, (1, 1): 1}),))
-        verdict = sk.base_point_free_check(system, 6)
-        assert verdict.warning is not None
-        assert sk.base_point_free_check(system, 6, assume_normalizing=True).warning is None
 
 
 class TestRegularity:
