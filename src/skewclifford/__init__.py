@@ -25,7 +25,6 @@ from .clifford import (
     build_gca,
     build_gsca,
     build_skew_ring,
-    check_gca_centrality,
     check_mu_symmetric,
     matrix_of_form,
     normalizing_check,

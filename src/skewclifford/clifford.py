@@ -126,6 +126,16 @@ class QuadraticForm:
         return f"QuadraticForm({self})"
 
 
+def _normal_in_skew_ring(q: QuadraticForm, mu: MuMatrix) -> bool:
+    """Whether each generator scales every term of q alike: z_g q = s_g q z_g in the skew ring.
+
+    z_g z_i z_j = mu_ig mu_jg z_i z_j z_g, so s_g exists when mu_ig mu_jg is
+    the same for all terms (i, j) of q.  True for every form when mu = 1 and
+    for every monomial form.
+    """
+    return all(len({mu[i, g] * mu[j, g] for (i, j) in q.coeffs}) <= 1 for g in range(q.n))
+
+
 @dataclass(frozen=True)
 class QuadricSystem:
     mu: MuMatrix
@@ -268,7 +278,7 @@ def build_gca(matrices: Sequence[Sequence[Sequence]]) -> CliffordPresentation:
     """Graded Clifford algebra from symmetric matrices: the mu = 1 case.
 
     Centrality of the degree-two generators is a consequence, checked by
-    check_gca_centrality rather than imposed.
+    `is_central(a*b + b*a, gb)` rather than imposed.
     """
     if not matrices:
         raise ValueError("at least one matrix required")
@@ -283,19 +293,6 @@ def build_gca(matrices: Sequence[Sequence[Sequence]]) -> CliffordPresentation:
         else:
             wrapped.append(check_mu_symmetric(m, mu))
     return build_gsca(mu, wrapped)
-
-
-def check_gca_centrality(pres: CliffordPresentation, a: NcPoly, b: NcPoly, depth: int) -> "CentralVerdict":
-    """Check that ab + ba commutes with every generator, within the bound."""
-    if not pres.mu.is_ones():
-        raise ValueError("centrality check requires mu = 1 (a GCA)")
-    for p in (a, b):
-        if p.homogeneous_degree() != 1:
-            raise ValueError("inputs must be homogeneous of degree 1")
-    gb = pres.groebner(max(depth, 3))
-    from .analyze import is_central  # local import avoids a module cycle
-
-    return is_central(a * b + b * a, gb)
 
 
 def quadric_system_of(pres: CliffordPresentation) -> QuadricSystem:
@@ -326,16 +323,31 @@ def normalizing_check(sys: QuadricSystem, max_degree: int) -> NormalizingVerdict
     a quadric against the degree-one side reads degree 3, and a basis
     truncated at 3 agrees through 3 with one truncated higher, so each
     basis stops at min(max_degree, 3).
+
+    Some forms are settled before the search.  Since z_g z_i = mu_ig z_i z_g
+    in the skew ring S, z_g z_i z_j = mu_ig mu_jg z_i z_j z_g.  If that
+    scalar s_g is the same for all terms (i, j) of q, for every generator g
+    (`_normal_in_skew_ring`), then z_g q = s_g q z_g with s_g nonzero, so
+    q is normal in S.  The identity maps to every quotient S/I, which the
+    z_g still generate, so q is normal after every prefix and needs neither
+    a basis nor `is_normal`.  The rule only skips work: the verdicts, the
+    visiting order and `searched` are those of the full search.  It is off
+    below bound 3, where the degree-3 products that `is_normal` reads lie
+    past the basis, so `is_normal` still raises the `DegreeBoundError`
+    that says the search cannot run there.
     """
     from .analyze import is_normal  # local import avoids a module cycle
 
     m = len(sys.forms)
     if m > MAX_PERMUTATION_FORMS:
         raise ValueError(f"permutation search capped at {MAX_PERMUTATION_FORMS} forms")
+    normal_in_ring = [max_degree >= 3 and _normal_in_skew_ring(q, sys.mu) for q in sys.forms]
     bases: Dict[frozenset, GroebnerData] = {}
     verdicts: Dict[Tuple[frozenset, int], bool] = {}
 
     def normal_after(prefix: frozenset, k: int) -> bool:
+        if normal_in_ring[k]:
+            return True
         if (prefix, k) not in verdicts:
             gb = bases.get(prefix)
             if gb is None:

@@ -212,9 +212,12 @@ class TestFixtureCorpus:
             capsys.readouterr()
 
 
-def report_digest(argv, capsys):
-    """sha256 prefix of the JSON report of a successful run, timing_ms dropped, as json.dumps(..., sort_keys=True)."""
-    assert main([*argv, "--format", "json"]) == 0
+def report_digest(argv, capsys, code=0):
+    """sha256 prefix of the JSON report of a run exiting with `code`.
+
+    timing_ms is dropped and the rest serialized as json.dumps(..., sort_keys=True).
+    """
+    assert main([*argv, "--format", "json"]) == code
     report = json.loads(capsys.readouterr().out)
     report.pop("timing_ms")
     return hashlib.sha256(json.dumps(report, sort_keys=True).encode("utf-8")).hexdigest()[:16]
@@ -292,6 +295,69 @@ REPORT_DIGESTS = {
 def test_report_digest(command, name, capsys):
     head, *flags = command.split()
     assert report_digest([head, fixture_path(name), *flags], capsys) == REPORT_DIGESTS[(command, name)]
+
+
+def _grid(n, entries, default="0"):
+    """n x n scalar strings: the given {(row, col): value} entries (0-based), `default` elsewhere."""
+    return [[entries.get((i, j), default) for j in range(n)] for i in range(n)]
+
+
+# Normalizing searches the fixtures miss (each fixture is found in its
+# given order): every one of the 4! orders fails at the mixed form; a twist
+# mu (lambda = 1, 1, 2) where two forms lie on one weight class and the
+# third mixes two; and a system first found at the fourth order.
+SEARCH_SPECS = {
+    "all-orders-fail": {
+        "kind": "gsca",
+        "n": 4,
+        "mu": _grid(4, {(0, 3): "2", (3, 0): "1/2"}, "1"),
+        "forms": [
+            *(_grid(4, {(k, k): "1"}) for k in range(3)),
+            _grid(4, {(0, 1): "1/2", (1, 0): "1/2", (2, 3): "1/2", (3, 2): "1/2"}),
+        ],
+    },
+    "repeated-lambda": {
+        "kind": "gsca",
+        "n": 3,
+        "mu": _grid(3, {(0, 2): "2", (1, 2): "2", (2, 0): "1/2", (2, 1): "1/2"}, "1"),
+        "forms": [
+            _grid(3, {(0, 0): "1", (1, 1): "1"}),
+            _grid(3, {(0, 1): "1/2", (1, 0): "1/2"}),
+            _grid(3, {(0, 1): "1/2", (1, 0): "1/2", (2, 2): "1"}),
+        ],
+    },
+    "found-late": {
+        "kind": "gsca",
+        "n": 3,
+        "mu": _grid(3, {(0, 1): "2", (1, 0): "1/2"}, "1"),
+        "forms": [
+            _grid(3, {(0, 1): "1", (1, 0): "1/2", (2, 2): "2"}),
+            _grid(3, {(0, 0): "2"}),
+            _grid(3, {(1, 1): "2"}),
+        ],
+    },
+}
+
+# report_digest of the bpf, normalizing and regular reports on SEARCH_SPECS
+SEARCH_DIGESTS = {
+    ("bpf", "all-orders-fail"): "620ac88845c82303",
+    ("bpf", "found-late"): "a09f3022d6bc2274",
+    ("bpf", "repeated-lambda"): "8f2b9b0319526abe",
+    ("normalizing", "all-orders-fail"): "48f557cf74266f2e",
+    ("normalizing", "found-late"): "710928f519800e1d",
+    ("normalizing", "repeated-lambda"): "b7923af39c7d6def",
+    ("regular", "all-orders-fail"): "427bfb812d2de0d4",
+    ("regular", "found-late"): "4483d0ddd5bf5a9e",
+    ("regular", "repeated-lambda"): "0f9589db1c77f518",
+}
+
+
+@pytest.mark.parametrize(("command", "name"), sorted(SEARCH_DIGESTS))
+def test_search_report_digest(command, name, tmp_path, capsys):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(SEARCH_SPECS[name]))
+    code = 1 if name == "all-orders-fail" else 0
+    assert report_digest([command, str(path)], capsys, code) == SEARCH_DIGESTS[(command, name)]
 
 
 class TestQuadricCommands:

@@ -1,16 +1,22 @@
+import itertools
+import json
 import math
 import random
 from fractions import Fraction
+from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import skewclifford as sk
 from skewclifford import analyze, clifford
-from skewclifford.clifford import _pair_expression
+from skewclifford.cli import main
+from skewclifford.clifford import _normal_in_skew_ring, _pair_expression
 from skewclifford.freealg import NcPoly
 from skewclifford.rewrite import DegreeBoundError, PresentedAlgebra, groebner, normal_form
 
-from conftest import example21_matrices, example21_mu, random_gca, random_mu, random_mu_symmetric
+from conftest import NONZERO_SMALL, example21_matrices, example21_mu, random_gca, random_mu, random_mu_symmetric
 
 
 def raise_on_call(*args):
@@ -201,15 +207,21 @@ class TestBuildGca:
 
 
 class TestGcaCentrality:
+    """ab + ba is central in a GCA: `is_central` on the anticommutator, against a bound-4 basis."""
+
     def diag3(self):
         return sk.build_gca([[[2 * (i == j == k) for j in range(3)] for i in range(3)] for k in range(3)])
 
+    @staticmethod
+    def anticommutator_central(pres, a, b):
+        return sk.is_central(a * b + b * a, pres.groebner(4))
+
     def test_anticommuting_pair(self):
-        verdict = sk.check_gca_centrality(self.diag3(), NcPoly.generator(0), NcPoly.generator(1), 4)
+        verdict = self.anticommutator_central(self.diag3(), NcPoly.generator(0), NcPoly.generator(1))
         assert verdict.central
 
     def test_square(self):
-        verdict = sk.check_gca_centrality(self.diag3(), NcPoly.generator(0), NcPoly.generator(0), 4)
+        verdict = self.anticommutator_central(self.diag3(), NcPoly.generator(0), NcPoly.generator(0))
         assert verdict.central
 
     def test_random_valid_gcas(self):
@@ -220,18 +232,22 @@ class TestGcaCentrality:
             b = NcPoly({(i,): Fraction(rng.randint(-2, 2)) for i in range(3)})
             if not a or not b:
                 continue
-            assert sk.check_gca_centrality(pres, a, b, 4).central
+            assert self.anticommutator_central(pres, a, b).central
 
-    def test_passes_the_anticommutator_as_it_is(self, monkeypatch):
-        # is_central normal-forms its element; the check forms none of its own
-        monkeypatch.setattr(clifford, "normal_form", raise_on_call)
-        assert sk.check_gca_centrality(self.diag3(), NcPoly.generator(0), NcPoly.generator(1), 4).central
+    def test_passes_the_anticommutator_as_it_is(self):
+        # is_central normal-forms its element: the raw anticommutator and its normal form agree
+        gb = self.diag3().groebner(4)
+        element = NcPoly.generator(0) * NcPoly.generator(1) + NcPoly.generator(1) * NcPoly.generator(0)
+        assert element != normal_form(element, gb)
+        verdict = sk.is_central(element, gb)
+        assert verdict.central and verdict == sk.is_central(normal_form(element, gb), gb)
 
     def test_requires_ones_mu(self):
+        # with mu_12 = 2 the plain anticommutator of x1, x2 fails against x1
         mu = example21_mu()
         pres = sk.build_gsca(mu, example21_matrices(mu))
-        with pytest.raises(ValueError, match="mu = 1"):
-            sk.check_gca_centrality(pres, NcPoly.generator(0), NcPoly.generator(1), 4)
+        verdict = self.anticommutator_central(pres, NcPoly.generator(0), NcPoly.generator(1))
+        assert not verdict.central and verdict.witness == 0
 
 
 class TestQuadricSystem:
@@ -293,10 +309,11 @@ class TestNormalizing:
         monkeypatch.setattr(analyze, "is_normal", record_check)
         verdict = sk.normalizing_check(system, 4)
         assert not verdict.found and verdict.searched == 24
-        # one basis per subset of the three squares and one check per
-        # (subset, next form) pair: 60 of each without the memo
+        # one basis per subset of the three squares, and one check of the
+        # mixed form after each: the squares are normal in the skew ring, so
+        # they are never checked (60 of each without the memo)
         assert len(inputs) == len(set(inputs)) == 8
-        assert len(checks) == 20
+        assert len(checks) == 8 and set(checks) == {system.forms[3].as_ncpoly()}
 
     def test_forms_reach_is_normal_as_they_are(self, ex21, monkeypatch):
         # is_normal normal-forms each form and settles a zero one; the search forms no normal form itself
@@ -308,6 +325,11 @@ class TestNormalizing:
         # z1^2 listed twice: the second copy is zero modulo the first
         square = sk.QuadraticForm(2, {(0, 0): 1})
         assert sk.normalizing_check(sk.QuadricSystem(sk.MuMatrix.ones(2), (square, square)), 3).found
+        # z1^2 + z2^2 in the quantum plane reaches is_normal and is zero modulo z1^2, z2^2
+        mu = sk.validate_mu([[1, 2], [Fraction(1, 2), 1]])
+        forms = (square, sk.QuadraticForm(2, {(1, 1): 1}), sk.QuadraticForm(2, {(0, 0): 1, (1, 1): 1}))
+        verdict = sk.normalizing_check(sk.QuadricSystem(mu, forms), 3)
+        assert verdict.found and verdict.order == (0, 1, 2)
 
     def test_prefix_bases_stop_at_degree_three(self, monkeypatch):
         # is_normal of a quadric against the degree-one side reads degree 3
@@ -325,6 +347,144 @@ class TestNormalizing:
         with pytest.raises(DegreeBoundError, match="degree 3 exceeds completeness bound 2"):
             sk.normalizing_check(self.four_form_system(), 2)
         assert bounds == [2]
+
+
+class TestNormalizingGca:
+    """mu = 1: the skew ring is commutative, so every form is normal and the search builds nothing."""
+
+    @staticmethod
+    def diag3_path():
+        return str(resources.files("skewclifford").joinpath("fixtures/diag3.json"))
+
+    @staticmethod
+    def count_calls(monkeypatch):
+        calls = {"groebner": 0, "is_normal": 0}
+        build, check = clifford.groebner, analyze.is_normal
+
+        def record(alg, max_degree):
+            calls["groebner"] += 1
+            return build(alg, max_degree)
+
+        def record_check(a, gb):
+            calls["is_normal"] += 1
+            return check(a, gb)
+
+        monkeypatch.setattr(clifford, "groebner", record)
+        monkeypatch.setattr(analyze, "is_normal", record_check)
+        return calls
+
+    def test_search_builds_no_basis_and_checks_nothing(self, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        # forms with mixed terms, normal only because mu = 1
+        pres = sk.build_gca([
+            [[1, 1, 0], [1, 0, 0], [0, 0, 2]],
+            [[0, 0, 1], [0, 2, 0], [1, 0, 0]],
+            [[2, 0, 0], [0, 0, 1], [0, 1, 1]],
+        ])
+        for bound in (3, 4, 8):
+            verdict = sk.normalizing_check(sk.quadric_system_of(pres), bound)
+            assert verdict.found and verdict.order == (0, 1, 2) and verdict.searched == 1
+        assert calls == {"groebner": 0, "is_normal": 0}
+
+    def test_bpf_builds_one_basis(self, monkeypatch, capsys):
+        calls = self.count_calls(monkeypatch)
+        assert main(["bpf", self.diag3_path(), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["evidence"]["warning"] is None
+        assert calls == {"groebner": 1, "is_normal": 0}
+
+    def test_bound_two_still_raises(self):
+        squares = tuple(sk.QuadraticForm(2, {(k, k): 1}) for k in range(2))
+        system = sk.QuadricSystem(sk.MuMatrix.ones(2), squares)
+        with pytest.raises(DegreeBoundError, match="degree 3 exceeds completeness bound 2"):
+            sk.normalizing_check(system, 2)
+
+    def test_regular_at_bound_two_exits_two(self, capsys):
+        assert main(["regular", self.diag3_path(), "--max-deg", "2"]) == 2
+        assert "degree 3 exceeds completeness bound 2" in capsys.readouterr().err
+
+
+@st.composite
+def quadric_systems(draw):
+    """One to three forms over n = 2..4, mu random, all ones, or lambda_j / lambda_i with repeated lambdas.
+
+    Each form is either spread over all monomials or kept on one weight
+    class: monomials z_i z_j sharing the scalars mu_ig mu_jg for every g.
+    """
+    n = draw(st.integers(2, 4))
+    kind = draw(st.sampled_from(("random", "ones", "lambdas")))
+    if kind == "lambdas":
+        lambdas = st.lists(st.sampled_from((1, 2, -1)), min_size=n, max_size=n).filter(lambda v: len(set(v)) > 1)
+        mu = sk.mu_from_lambdas(draw(lambdas))
+    else:
+        grid = [[Fraction(1)] * n for _ in range(n)]
+        if kind == "random":
+            for i, j in itertools.combinations(range(n), 2):
+                grid[i][j] = draw(st.sampled_from(NONZERO_SMALL[::-1]))  # simplest draw not 1
+                grid[j][i] = 1 / grid[i][j]
+        mu = sk.validate_mu(grid)
+    monomials = [(i, j) for i in range(n) for j in range(i, n)]
+    classes = {}
+    for i, j in monomials:
+        classes.setdefault(tuple(mu[i, g] * mu[j, g] for g in range(n)), []).append((i, j))
+    forms = []
+    for _ in range(draw(st.integers(1, 3))):
+        support = draw(st.sampled_from(sorted(classes.values()))) if draw(st.booleans()) else monomials
+        forms.append(sk.QuadraticForm(n, {ij: Fraction(draw(st.integers(-2, 2))) for ij in support}))
+    return sk.QuadricSystem(mu, tuple(forms))
+
+
+class TestNormalInSkewRing:
+    @staticmethod
+    def normal_after(system, prefix, k, max_degree):
+        """`is_normal` of form k on a fresh basis of the skew ring modulo the forms in prefix."""
+        quotient = sk.QuadricSystem(system.mu, tuple(system.forms[j] for j in prefix)).quotient()
+        return sk.is_normal(system.forms[k].as_ncpoly(), groebner(quotient, max_degree)).normal
+
+    def test_fires_on_a_weight_class_when_mu_is_not_one(self):
+        mu = sk.mu_from_lambdas([1, 1, 2])
+        assert _normal_in_skew_ring(sk.QuadraticForm(3, {(0, 0): 1, (1, 1): 1, (0, 1): 3}), mu)
+        assert not _normal_in_skew_ring(sk.QuadraticForm(3, {(0, 1): 1, (2, 2): 1}), mu)
+
+    def test_every_generator_must_scale_alike(self):
+        # z1 commutes with z2 and z3, so only z2 and z3 tell z2^2 and z3^2 apart
+        mu = sk.validate_mu([[1, 1, 1], [1, 1, 2], [1, Fraction(1, 2), 1]])
+        q = sk.QuadraticForm(3, {(1, 1): 1, (2, 2): 1})
+        assert not _normal_in_skew_ring(q, mu)
+        assert not sk.normalizing_check(sk.QuadricSystem(mu, (q,)), 3).found
+
+    def test_accepted_forms_are_normal_after_every_prefix(self):
+        @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+        @given(quadric_systems())
+        def check(system):
+            m = len(system.forms)
+            for k, q in enumerate(system.forms):
+                if not _normal_in_skew_ring(q, system.mu):
+                    continue
+                others = [j for j in range(m) if j != k]
+                for size in range(m):
+                    for prefix in itertools.combinations(others, size):
+                        assert self.normal_after(system, prefix, k, 3), (k, prefix)
+
+        check()
+
+    def test_search_matches_brute_force(self):
+        def brute_force(system, max_degree):
+            # every permutation, the given order first; is_normal at each step, no memo, no rule
+            m = len(system.forms)
+            given_order = tuple(range(m))
+            orders = [given_order] + [p for p in itertools.permutations(range(m)) if p != given_order]
+            for searched, order in enumerate(orders, 1):
+                if all(self.normal_after(system, order[:t], order[t], max_degree) for t in range(m)):
+                    return True, order, searched
+            return False, None, len(orders)
+
+        @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+        @given(quadric_systems(), st.sampled_from((3, 4)))
+        def check(system, max_degree):
+            verdict = sk.normalizing_check(system, max_degree)
+            assert (verdict.found, verdict.order, verdict.searched) == brute_force(system, max_degree)
+
+        check()
 
 
 class TestBasePointFree:
