@@ -145,10 +145,16 @@ class QuadricSystem:
         if any(q.n != self.mu.n for q in self.forms):
             raise ValueError("all forms must live over the same mu")
 
-    def quotient(self) -> PresentedAlgebra:
-        """The skew ring modulo the forms (zero forms drop out as relations)."""
-        ring = build_skew_ring(self.mu)
-        return PresentedAlgebra(self.mu.n, list(ring.relations) + [q.as_ncpoly() for q in self.forms])
+    def quotient(self, ring: Optional[PresentedAlgebra] = None) -> PresentedAlgebra:
+        """The skew ring modulo the forms (zero forms drop out as relations).
+
+        `ring` is build_skew_ring(self.mu), built here when not given: a
+        caller taking many quotients over one mu builds it once, and each
+        quotient then validates only its forms.
+        """
+        if ring is None:
+            ring = build_skew_ring(self.mu)
+        return ring.with_relations([q.as_ncpoly() for q in self.forms])
 
 
 class CliffordPresentation:
@@ -322,7 +328,8 @@ def normalizing_check(sys: QuadricSystem, max_degree: int) -> NormalizingVerdict
     is computed once: at most 2^m bases instead of m * m!.  `is_normal` of
     a quadric against the degree-one side reads degree 3, and a basis
     truncated at 3 agrees through 3 with one truncated higher, so each
-    basis stops at min(max_degree, 3).
+    basis stops at min(max_degree, 3).  The skew ring is built at most once
+    per search, so each prefix quotient validates only its forms.
 
     Some forms are settled before the search.  Since z_g z_i = mu_ig z_i z_g
     in the skew ring S, z_g z_i z_j = mu_ig mu_jg z_i z_j z_g.  If that
@@ -342,6 +349,7 @@ def normalizing_check(sys: QuadricSystem, max_degree: int) -> NormalizingVerdict
     if m > MAX_PERMUTATION_FORMS:
         raise ValueError(f"permutation search capped at {MAX_PERMUTATION_FORMS} forms")
     normal_in_ring = [max_degree >= 3 and _normal_in_skew_ring(q, sys.mu) for q in sys.forms]
+    ring = None if all(normal_in_ring) else build_skew_ring(sys.mu)  # all settled: no basis is built
     bases: Dict[frozenset, GroebnerData] = {}
     verdicts: Dict[Tuple[frozenset, int], bool] = {}
 
@@ -351,7 +359,7 @@ def normalizing_check(sys: QuadricSystem, max_degree: int) -> NormalizingVerdict
         if (prefix, k) not in verdicts:
             gb = bases.get(prefix)
             if gb is None:
-                quotient = QuadricSystem(sys.mu, tuple(sys.forms[j] for j in sorted(prefix))).quotient()
+                quotient = QuadricSystem(sys.mu, tuple(sys.forms[j] for j in sorted(prefix))).quotient(ring)
                 gb = bases[prefix] = groebner(quotient, min(max_degree, 3))
             verdicts[prefix, k] = is_normal(sys.forms[k].as_ncpoly(), gb).normal
         return verdicts[prefix, k]

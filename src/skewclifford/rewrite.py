@@ -23,6 +23,10 @@ class DegreeBoundError(ValueError):
     """Raised when an operation needs completeness beyond the computed bound."""
 
 
+def _relation_key(p: NcPoly):
+    return (word_key(p.lead_word()), p.canonical_key())
+
+
 class PresentedAlgebra:
     """Graded algebra on n degree-one generators with homogeneous relations of degree >= 2."""
 
@@ -31,6 +35,11 @@ class PresentedAlgebra:
     def __init__(self, n: int, relations: Sequence[NcPoly]):
         if not 1 <= n <= MAX_GENERATORS:
             raise ValueError(f"generator count must be in 1..{MAX_GENERATORS}, got {n}")
+        self.n = n
+        self.relations = tuple(self._cleaned(relations))
+
+    def _cleaned(self, relations: Sequence[NcPoly]) -> List[NcPoly]:
+        """The nonzero relations, validated against self.n, made monic and sorted."""
         cleaned = []
         for r in relations:
             if not r:
@@ -41,12 +50,22 @@ class PresentedAlgebra:
             if deg < 2:
                 raise ValueError(f"relation of degree {deg} rejected (must be >= 2): {r}")
             top = r.max_letter()
-            if top is not None and top >= n:
-                raise ValueError(f"relation uses generator {top + 1} but n = {n}")
+            if top is not None and top >= self.n:
+                raise ValueError(f"relation uses generator {top + 1} but n = {self.n}")
             cleaned.append(r.monic())
-        cleaned.sort(key=lambda p: (word_key(p.lead_word()), p.canonical_key()))
-        self.n = n
-        self.relations = tuple(cleaned)
+        cleaned.sort(key=_relation_key)
+        return cleaned
+
+    def with_relations(self, relations: Sequence[NcPoly]) -> "PresentedAlgebra":
+        """This algebra modulo more relations; only the new ones are validated.
+
+        Equal to PresentedAlgebra(n, self.relations + relations): both lists
+        are sorted, so merging them gives the same order.
+        """
+        alg = object.__new__(PresentedAlgebra)
+        alg.n = self.n
+        alg.relations = tuple(heapq.merge(self.relations, self._cleaned(relations), key=_relation_key))
+        return alg
 
     def __eq__(self, other):
         return isinstance(other, PresentedAlgebra) and self.n == other.n and self.relations == other.relations
@@ -169,27 +188,32 @@ def reduce_poly(p: NcPoly, basis: Union[Sequence[NcPoly], _LeadIndex]) -> NcPoly
     return NcPoly._make(done)
 
 
+def _adjoin(rules: _LeadIndex, h: NcPoly) -> None:
+    """Adjoin h of degree d, nonzero and reduced modulo rules that are inter-reduced and final below d.
+
+    h is made monic.  No element of lower degree has a word of degree d, and
+    a word of degree d holds lead(h) only by being it, so subtracting c*h
+    from each rule that has lead(h) with coefficient c keeps degree d in
+    reduced echelon form.  Then h is indexed.
+    """
+    h = h.monic()
+    lw = h.lead_word()
+    for other, g in list(rules.by_lead.items()):
+        c = g.terms.get(lw)
+        if c is not None:
+            rules.add(other, g - h.scale(c))
+    rules.add(lw, h)
+
+
 def _interreduce(rules: _LeadIndex, polys: Sequence[NcPoly]) -> None:
     """Adjoin polys of one degree d to rules that are inter-reduced and final below d.
 
-    Each p is reduced modulo the rules and, if nonzero, made monic as h.  No
-    element of lower degree has a word of degree d, and a word of degree d
-    holds lead(h) only by being it, so subtracting c*h from each rule that
-    has lead(h) with coefficient c keeps degree d in reduced echelon form.
-    Then h is indexed.
+    Each p is reduced modulo the rules and, if nonzero, adjoined by `_adjoin`.
     """
-    by_lead = rules.by_lead
     for p in polys:
         h = reduce_poly(p, rules)
-        if not h:
-            continue
-        h = h.monic()
-        lw = h.lead_word()
-        for other, g in list(by_lead.items()):
-            c = g.terms.get(lw)
-            if c is not None:
-                rules.add(other, g - h.scale(c))
-        rules.add(lw, h)
+        if h:
+            _adjoin(rules, h)
 
 
 class GroebnerData:
@@ -237,21 +261,116 @@ class GroebnerData:
         return f"GroebnerData(n={self.n}, elements={len(self.elements)}, complete_through={self.max_degree})"
 
 
-def _obstructions(by_lead: Dict[Word, NcPoly], degree: int):
-    """Overlap ambiguities a*lead(g) = lead(f)*b whose word has the given total degree.
+def _commutation_scalars(alg: PresentedAlgebra) -> Optional[List[List[Fraction]]]:
+    """mu with z_j z_l = mu[l][j] z_l z_j, when alg has a commutation relation for every pair; else None.
 
-    Each item is (a, f, g, b); items are sorted by (ambiguity word, overlap
-    length, length of lead(f)) for determinism.  Those three values fix the
-    pair, so no two items tie.
+    A commutation relation is z_j z_i - q z_i z_j with j > i and q nonzero;
+    the first listed counts when a pair has several.
     """
-    obs = []
-    for u in by_lead:
-        for v in by_lead:
-            ell = len(u) + len(v) - degree
-            if 0 < ell < min(len(u), len(v)) and u[len(u) - ell :] == v[:ell]:
-                obs.append((word_key(u + v[ell:]), ell, len(u), u, v))
-    obs.sort()
-    return [(u[: len(u) - ell], by_lead[u], by_lead[v], v[ell:]) for _, ell, _, u, v in obs]
+    n = alg.n
+    mu = [[Fraction(1)] * n for _ in range(n)]
+    pairs = set()
+    for r in alg.relations:
+        if len(r.terms) != 2:
+            continue
+        lw = r.lead_word()
+        if len(lw) != 2 or lw[0] <= lw[1] or lw in pairs:
+            continue
+        j, i = lw
+        q = r.terms.get((i, j))
+        if q is not None:
+            pairs.add(lw)
+            mu[i][j], mu[j][i] = -q, -1 / q
+    return mu if len(pairs) == n * (n - 1) // 2 else None
+
+
+class _Overlaps:
+    """The overlap obstructions of a growing basis, less those proved to resolve.
+
+    Leading words join once their degree is finished, indexed by length and
+    proper prefix, so `pending(d)` finds each overlap u*b = a*v of total
+    degree d from a suffix of u without pairing every two leading words.
+    `mu` is the skew ring's scalars when the presentation holds every
+    commutation relation (`_commutation_scalars`), else None.
+    """
+
+    __slots__ = ("rules", "mu", "finished", "starts", "_homogeneous", "_rows")
+
+    def __init__(self, rules: _LeadIndex, mu: Optional[List[List[Fraction]]]):
+        self.rules = rules
+        self.mu = mu
+        self.finished: List[Word] = []
+        self.starts: Dict[tuple, List[Word]] = {}
+        self._homogeneous: Dict[Word, frozenset] = {}
+        self._rows: Dict[Word, tuple] = {(): tuple(Fraction(1) for _ in mu)} if mu is not None else {}
+
+    def finish(self, degree: int) -> None:
+        """Index the leading words of a degree that is final."""
+        for lw in self.rules.by_lead:
+            if len(lw) == degree:
+                self.finished.append(lw)
+                for ell in range(1, degree):
+                    self.starts.setdefault((degree, lw[:ell]), []).append(lw)
+
+    def pending(self, degree: int):
+        """(a, f, g, b) for each obstruction a*lead(g) = lead(f)*b of the given degree not proved to resolve.
+
+        Items are sorted by (ambiguity word, overlap length, length of
+        lead(f)); those three values fix the pair, so no two items tie.
+        """
+        obs = []
+        starts = self.starts
+        for u in self.finished:
+            lu = len(u)
+            for ell in range(1, lu):
+                for v in starts.get((degree - lu + ell, u[lu - ell :]), ()):
+                    obs.append((u + v[ell:], ell, lu, u, v))
+        obs.sort()
+        by_lead = self.rules.by_lead
+        return [
+            (u[: lu - ell], by_lead[u], by_lead[v], v[ell:])
+            for w, ell, lu, u, v in obs
+            if not self._resolves(w, u, v)
+        ]
+
+    def _resolves(self, w: Word, u: Word, v: Word) -> bool:
+        """Whether the obstruction at w of u on the left and v on the right provably resolves."""
+        by_lead = self.rules.by_lead
+        d, lu, lv = len(w), len(u), len(v)
+        # (i) a third leading word t inside w covers the overlap
+        for p in range(1, d - lv):
+            for L in self.rules.lengths:
+                if p + L >= d:
+                    break
+                if p + L > lu and w[p : p + L] in by_lead:
+                    return True
+        if self.mu is None:
+            return False
+        left = lu == 2 and u[0] > u[1]
+        right = lv == 2 and v[0] > v[1]
+        if left and right:
+            return True  # (ii)
+        if left:
+            return u[0] in self._letters(v)  # (iii)
+        if right:
+            return u[0] > v[1] and v[1] in self._letters(u)  # (iv)
+        return False
+
+    def _letters(self, lw: Word) -> frozenset:
+        """Letters j with prod_{l in m} mu[l][j] one scalar over the words m of the element led by lw."""
+        found = self._homogeneous.get(lw)
+        if found is None:
+            first, *rows = [self._row(c) for c in {tuple(sorted(m)) for m in self.rules.by_lead[lw].terms}]
+            found = frozenset(j for j in range(len(first)) if all(row[j] == first[j] for row in rows))
+            self._homogeneous[lw] = found
+        return found
+
+    def _row(self, content: Word) -> tuple:
+        """(prod_{l in content} mu[l][j] for each j), for a sorted word; memoized by prefix."""
+        row = self._rows.get(content)
+        if row is None:
+            row = self._rows[content] = tuple(a * b for a, b in zip(self._row(content[:-1]), self.mu[content[-1]]))
+        return row
 
 
 def _s_polynomial(a: Word, f: NcPoly, g: NcPoly, b: Word) -> NcPoly:
@@ -276,13 +395,56 @@ def groebner(alg: PresentedAlgebra, max_degree: int) -> GroebnerData:
 
     The basis is built one degree d at a time.  Relations are homogeneous,
     so every element of lower degree is final when degree d starts.  Degree
-    d adjoins its relations, then the nonzero remainders of its
-    S-polynomials in (word, overlap) order, each through `_interreduce`.
-    Through max_degree the output is the reduced Groebner basis truncated
-    there, which is canonical.  A degree above max_degree that holds a
-    relation is not complete: its elements are the relations of that
+    d adjoins its relations through `_interreduce`, then the nonzero
+    remainders of its S-polynomials in (word, overlap) order through
+    `_adjoin`.  Through max_degree the output is the reduced Groebner basis
+    truncated there, which is canonical.  A degree above max_degree that
+    holds a relation is not complete: its elements are the relations of that
     degree, reduced modulo all lower-degree elements, in reduced echelon
     form.
+
+    An obstruction a*lead(g) = lead(f)*b at the word W, with u = lead(f)
+    and v = lead(g), need not be reduced when f*b - a*g is a combination of
+    x*h*y, h in the basis, with every x*lead(h)*y below W: it then resolves
+    (Bergman's diamond lemma), so the remainders adjoined are those of the
+    other obstructions alone.  `_Overlaps` skips four kinds.
+
+    (i) Chain (Mora 1994), for every presentation.  A leading word t
+    occurs in W other than as u at 0 or v at the end.  Leading words of a
+    reduced basis are no subwords of one another, so t lies in neither u
+    nor v: it starts inside u, ends inside v and covers the overlap.  Then
+    u, t and t, v overlap in words of lower degree, whose obstructions are
+    resolved, and f*b - a*g is the sum of their S-polynomials, each
+    shifted into W, so every term stays below W.
+
+    (ii)-(iv) need the relations to include z_j z_i - q z_i z_j, q != 0,
+    for every j > i, as every skew-ring quotient does; this is read off the
+    input (`_commutation_scalars`).  With z_j z_l = mu_lj z_l z_j, every
+    pair z_j z_i, j > i, is then a leading word of degree 2, the only
+    leading words with a descent are these commutation words, and each
+    commutation element is its relation plus degree-2 elements with
+    smaller leading words.  An element h is z_j-homogeneous when
+    prod_{l in m} mu_lj is one scalar s over the words m of h; then
+    z_j h = s h z_j in the skew ring, by commutation steps that each move
+    z_j past one letter.
+
+    (ii) u and v are commutation words, W = z_k z_j z_i with k > j > i.
+    Both rewritings of W reach mu_ij mu_ik mu_jk z_i z_j z_k through words
+    below W: the diamond of the skew ring.
+
+    (iii) u = z_j z_l is a commutation word, so W = z_j v, and g is
+    z_j-homogeneous.  Moving z_j to the right through z_j m, for each word
+    m of g, passes only words that start with m_1 <= l < j, so all lie
+    below W but the first step for m = v, which is f*b.  So f*b - z_j g is
+    -s g z_j modulo terms below W, and v z_j < W since l < j.
+
+    (iv) v = z_l z_i is a commutation word, so W = u z_i, with u_1 > i and
+    f z_i-homogeneous.  u is sorted or a commutation word, so each of its
+    letters exceeds i, and moving z_i to the left through m z_i, for each
+    word m of f, passes only words below W but the first step for m = u,
+    which is a*g.  So the S-polynomial is a multiple of z_i f modulo terms
+    below W, and z_i u < W since i < u_1.  Without u_1 > i, z_i u lies
+    above W.
     """
     if max_degree < 2:
         raise ValueError("max_degree must be >= 2")
@@ -290,13 +452,15 @@ def groebner(alg: PresentedAlgebra, max_degree: int) -> GroebnerData:
     for r in alg.relations:
         by_degree.setdefault(len(r.lead_word()), []).append(r)
     rules = _LeadIndex()
+    overlaps = _Overlaps(rules, _commutation_scalars(alg))
     for d in range(2, max([max_degree, *by_degree]) + 1):
         _interreduce(rules, by_degree.get(d, ()))
         if d <= max_degree:
-            for a, f, g, b in _obstructions(rules.by_lead, d):
+            for a, f, g, b in overlaps.pending(d):
                 h = reduce_poly(_s_polynomial(a, f, g, b), rules)
                 if h:
-                    _interreduce(rules, [h])
+                    _adjoin(rules, h)
+            overlaps.finish(d)
     return GroebnerData(alg, max_degree, rules)
 
 

@@ -17,6 +17,27 @@ NONZERO_SMALL = [
 ]
 
 
+# an n=4 GSCA with fractional mu and forms, whose quotient basis has 18 elements
+HASHSEED_SPEC = {
+    "n": 4,
+    "kind": "gsca",
+    "mu": [["1", "1/2", "-1/2", "-3/2"], ["2", "1", "2", "2/3"], ["-2", "1/2", "1", "-2"], ["-2/3", "3/2", "-1/2", "1"]],
+    "forms": [
+        [["1", "-1", "-2", "0"], ["-2", "0", "-1", "0"], ["4", "-1/2", "1", "-2"], ["0", "0", "1", "1"]],
+        [["0", "0", "0", "0"], ["0", "-1", "-2", "2"], ["0", "-1", "-1", "0"], ["0", "3", "0", "0"]],
+        [["0", "0", "0", "0"], ["0", "0", "0", "0"], ["0", "0", "3", "0"], ["0", "0", "0", "-1"]],
+        [["0", "0", "0", "0"], ["0", "0", "0", "0"], ["0", "0", "0", "0"], ["0", "0", "0", "2"]],
+    ],
+}
+
+
+def spec_quotient(spec) -> "sk.PresentedAlgebra":
+    """The skew ring of a spec's mu modulo the forms of its matrices."""
+    mu = sk.validate_mu([[Fraction(e) for e in row] for row in spec["mu"]])
+    matrices = [sk.check_mu_symmetric([[Fraction(e) for e in row] for row in m], mu) for m in spec["forms"]]
+    return sk.QuadricSystem(mu, tuple(sk.quadratic_form_of(m) for m in matrices)).quotient()
+
+
 def example21_mu():
     return sk.validate_mu([[1, 2, 1], [Fraction(1, 2), 1, 1], [1, 1, 1]])
 

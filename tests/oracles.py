@@ -4,8 +4,9 @@ Everything here deliberately avoids the package's rewriting and elimination
 machinery: straightening is done by explicit adjacent transpositions on the
 ordered monomial basis of the skew ring, ranks come from a local row
 reduction with a right-to-left pivot order, `naive_rref` is dense
-Gauss-Jordan elimination over whole rows (and gives `free_reduced_basis`
-one RREF of the ideal per degree), `naive_reduce` rewrites by
+Gauss-Jordan elimination over whole rows, `sparse_rref` eliminates row
+by row on dicts (and gives `free_reduced_basis` one RREF of the ideal per
+degree), `naive_reduce` rewrites by
 re-sorting every term and scanning every leading word at each step, and
 `leibniz_det` sums over permutations with its own polynomial arithmetic.
 """
@@ -128,6 +129,41 @@ def free_quotient_dims(n, relation_terms, through):
     return dims
 
 
+def sparse_rref(rows):
+    """Reduced row echelon form of sparse rows (dicts word -> Fraction) of one degree.
+
+    Rows are taken one at a time: a row is cleared at every pivot it holds,
+    and a nonzero remainder, scaled to 1 at its largest word, becomes a
+    pivot row and is cleared from the pivot rows before it.  Returns
+    {pivot word: row}.  The reduced form is unique, so this is the RREF that
+    dense elimination with columns in descending word order gives.
+    """
+
+    def subtract(row, c, other):
+        for w, e in other.items():
+            s = row.get(w, Fraction(0)) - c * e
+            if s:
+                row[w] = s
+            else:
+                row.pop(w, None)
+
+    reduced = {}
+    for given in rows:
+        row = {w: Fraction(c) for w, c in given.items() if c}
+        for w in [w for w in row if w in reduced]:
+            subtract(row, row[w], reduced[w])
+        if not row:
+            continue
+        p = max(row)
+        inv = 1 / row[p]
+        row = {w: c * inv for w, c in row.items()}
+        for other in reduced.values():
+            if p in other:
+                subtract(other, other[p], row)
+        reduced[p] = row
+    return reduced
+
+
 def free_reduced_basis(n, relation_terms, through):
     """The reduced Groebner basis through degree `through`, from one RREF per degree.
 
@@ -141,14 +177,14 @@ def free_reduced_basis(n, relation_terms, through):
     elements = []
     pivots = set()
     for d in range(1, through + 1):
-        words = sorted(itertools.product(range(n), repeat=d), reverse=True)
-        rows, cols = naive_rref(_free_ideal_rows(n, relation_terms, words))
-        for row, c in zip(rows, cols):
-            w = words[c]
+        words = list(itertools.product(range(n), repeat=d))
+        rows = [{words[k]: v for k, v in enumerate(row) if v} for row in _free_ideal_rows(n, relation_terms, words)]
+        reduced = sparse_rref(rows)
+        for w in sorted(reduced):
             if not any(w[i:j] in pivots for i in range(d) for j in range(i + 1, d + 1)):
-                elements.append(((d, w), {words[k]: v for k, v in enumerate(row) if v}))
-        pivots.update(words[c] for c in cols)
-    return [terms for _, terms in sorted(elements, key=lambda t: t[0])]
+                elements.append(reduced[w])
+        pivots.update(reduced)
+    return elements
 
 
 def skew_quotient_dims(mu_grid, form_terms, through):

@@ -22,7 +22,7 @@ from skewclifford.rewrite import (
     reduce_poly,
 )
 
-from conftest import example21_matrices, example21_mu
+from conftest import HASHSEED_SPEC, example21_matrices, example21_mu, spec_quotient
 from oracles import free_quotient_dims, free_reduced_basis, naive_reduce, skew_quotient_dims
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -112,6 +112,40 @@ def presentations_with_shared_leads(draw):
     return n, rels, bound
 
 
+@st.composite
+def skew_quotients(draw):
+    """(n, the skew ring of a drawn mu modulo drawn quadrics, bound) with n = 2..3 and bound <= 5.
+
+    mu is all ones, random, or the twist mu_ij = lambda_j / lambda_i with
+    lambdas drawn from three values, so some repeat; the forms are dense,
+    sparse or monomials on the ordered words z_i z_j, i <= j.
+    """
+    n = draw(st.integers(2, 3))
+    kind = draw(st.sampled_from(("ones", "random", "twist")))
+    grid = [[Fraction(1)] * n for _ in range(n)]
+    lambdas = [draw(st.sampled_from((1, 2, -1))) for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if kind == "random":
+                v = draw(COEFFS)
+            else:
+                v = Fraction(lambdas[j], lambdas[i]) if kind == "twist" else Fraction(1)
+            grid[i][j], grid[j][i] = v, 1 / v
+    ordered = [(i, j) for i in range(n) for j in range(i, n)]
+    shape = draw(st.sampled_from(("dense", "sparse", "monomial")))
+    forms = []
+    for _ in range(draw(st.integers(1, n))):
+        if shape == "dense":
+            terms = {w: draw(st.sampled_from((Fraction(0), *COEFFS.elements))) for w in ordered}
+        elif shape == "sparse":
+            words = draw(st.lists(st.sampled_from(ordered), min_size=1, max_size=2, unique=True))
+            terms = {w: draw(COEFFS) for w in words}
+        else:
+            terms = {draw(st.sampled_from(ordered)): 1}
+        forms.append(NcPoly(terms))
+    return n, sk.build_skew_ring(sk.validate_mu(grid)).with_relations(forms), draw(st.integers(3, 5))
+
+
 class TestPresentedAlgebra:
     def test_rejects_inhomogeneous(self):
         with pytest.raises(ValueError, match="inhomogeneous"):
@@ -189,7 +223,7 @@ class TestGroebner:
         base = groebner(PresentedAlgebra(n, rels), bound)
         assert groebner(PresentedAlgebra(n, changed), bound).elements == base.elements
 
-    # fewer examples than PROPERTY: the oracle's dense elimination is slow
+    # fewer examples than PROPERTY: the oracle lists every word of each degree
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(presentations_with_shared_leads())
     def test_elements_match_the_free_algebra_rref(self, case):
@@ -212,10 +246,8 @@ class TestGroebner:
         )
         assert gb.complete_through == 3
 
-    def test_reduction_count(self, monkeypatch):
-        # One call per S-polynomial (225) and one per polynomial adjoined (the
-        # 15 relations and 16 nonzero remainders): a degree is final before the
-        # next starts, so a higher count means some element is reduced again.
+    @staticmethod
+    def _reductions(monkeypatch, alg, bound):
         calls = []
         counted = rewrite.reduce_poly
 
@@ -224,9 +256,67 @@ class TestGroebner:
             return counted(*args)
 
         monkeypatch.setattr(rewrite, "reduce_poly", count)
-        gb = groebner(triangular_gca_quotient(4, 5), 12)
+        return groebner(alg, bound), len(calls)
+
+    def test_reduction_count(self, monkeypatch):
+        # One call per relation (15) and one per S-polynomial that is reduced
+        # (84): a nonzero remainder is adjoined without a second reduction,
+        # and a degree is final before the next starts.  Of the 225
+        # obstructions through degree 12, 141 are proved to resolve by the
+        # chain and commutation rules of `groebner`; a higher count means a
+        # rule stopped firing or some element is reduced again.  Before the
+        # rules the count was 256: 225 S-polynomials plus 15 relations and
+        # 16 nonzero remainders, each reduced twice.
+        gb, calls = self._reductions(monkeypatch, triangular_gca_quotient(4, 5), 12)
         assert finite_dim_check(gb).dimension == 32
-        assert len(calls) == 256
+        assert calls == 99
+
+    def test_reduction_count_on_a_skew_quotient(self, monkeypatch):
+        # A GSCA quotient with fractional mu, where some elements are not
+        # z_j-homogeneous: 10 relations and 44 of the 90 S-polynomials
+        # (108 calls before the rules, with 8 nonzero remainders reduced twice).
+        gb, calls = self._reductions(monkeypatch, spec_quotient(HASHSEED_SPEC), 10)
+        assert len(gb.elements) == 18 and finite_dim_check(gb).dimension == 11
+        assert calls == 54
+
+    @PROPERTY
+    @given(skew_quotients())
+    def test_skew_quotient_bases_match_the_free_algebra_rref(self, case):
+        n, alg, bound = case
+        gb = groebner(alg, bound)
+        assert [g.terms for g in gb.elements] == free_reduced_basis(n, [r.terms for r in alg.relations], bound)
+
+    def test_commutation_overlaps_need_a_homogeneous_element(self):
+        # Already z1^2 and z1*z2 scale differently under every z_j, so
+        # z_j q = s q z_j holds for no j and the overlaps z_j * lead(g) and
+        # lead(g) * z_i must be reduced; skipping them regardless gives 12
+        # elements through degree 5 instead of 11
+        mu = sk.validate_mu([[1, Fraction(1, 2), -1], [2, 1, 3], [-1, Fraction(1, 3), 1]])
+        form = NcPoly({(0, 0): 3, (0, 1): 3, (0, 2): 3, (1, 1): 1, (2, 2): 1})
+        alg = sk.build_skew_ring(mu).with_relations([form])
+        gb = groebner(alg, 5)
+        assert len(gb.elements) == 11
+        assert [g.terms for g in gb.elements] == free_reduced_basis(3, [r.terms for r in alg.relations], 5)
+
+    def test_left_overlaps_read_the_letter_moved(self):
+        # The elements on z1, z2 scale alike under z1 and z2 but not under
+        # z3 (mu_13 = 2/3, mu_23 = 1): z3 * lead(g) must be reduced, which
+        # a homogeneity test on lead(g)'s first letter would skip
+        mu = sk.validate_mu([[1, 1, Fraction(2, 3)], [1, 1, 1], [Fraction(3, 2), 1, 1]])
+        forms = [NcPoly({(0, 0): -3, (0, 1): -3, (1, 1): 1}), NcPoly({(0, 0): 2, (1, 1): 1})]
+        alg = sk.build_skew_ring(mu).with_relations(forms)
+        gb = groebner(alg, 4)
+        assert [g.terms for g in gb.elements] == free_reduced_basis(3, [r.terms for r in alg.relations], 4)
+
+    def test_right_overlaps_need_a_larger_first_letter(self):
+        # lead(g) = z1*z3 ends in z3 > z2, but its first letter is below z2,
+        # so z2 * lead(g) lies above the overlap word z1*z3*z2 and the
+        # overlap must be reduced although every element is homogeneous
+        alg = sk.build_skew_ring(sk.MuMatrix.ones(3)).with_relations(
+            [NcPoly({(0, 2): 1}), NcPoly({(0, 0): 1, (1, 1): 1})]
+        )
+        gb = groebner(alg, 5)
+        assert [g.terms for g in gb.elements] == free_reduced_basis(3, [r.terms for r in alg.relations], 5)
 
     def test_one_lead_index_per_call(self, monkeypatch):
         # the index groebner builds is the one GroebnerData keeps and
