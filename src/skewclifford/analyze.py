@@ -13,8 +13,8 @@ from .clifford import (
     MuMatrix,
     MuSymmetricMatrix,
     base_point_free_check,
-    build_gca,
     build_gsca,
+    check_mu_symmetric,
     quadric_system_of,
 )
 from .exact import Echelon, ExactMatrix, ParamPoly, int_scaled, parametric_minors
@@ -420,22 +420,29 @@ def verify_twist_theorem(matrices: Sequence, tau: DiagonalAutomorphism, through:
     of the pair elements, their q-commutation, the scalar cocycle identity,
     the dimensions of the subalgebra generated by the y's, and the twisted
     commutation of the corresponding elements on the commutative side.
+
+    Two hypotheses get a warning when they are not established, and the
+    clauses run either way: B's quadric system is base-point-free (a finite
+    quotient at bound `through`), and tau maps B's relation span onto itself.
     """
     _require_diagonal(tau)
     if through < 4:
         raise ValueError("through must be >= 4 (the checks involve degree-4 products)")
-    B = build_gca(matrices)
-    n = B.n
-    if tau.n != n:
+    n = tau.n
+    if len(matrices) != n:
         raise ValueError("tau size does not match the matrices")
+    ones = MuMatrix.ones(n)
+    B = build_gsca(ones, [check_mu_symmetric(m, ones) for m in matrices])
     lams = tau.lambdas
     mu = mu_from_lambdas(lams)
     report = TheoremReport(criterion=twist_criterion(mu))
 
     warnings = []
-    bpf = base_point_free_check(quadric_system_of(B), 2 * n + 2)
+    bpf = base_point_free_check(quadric_system_of(B), through)
     if not bpf.base_point_free:
         warnings.append("quadric system of B not verified base-point-free; theorem hypotheses not established")
+    if not relation_span_equal(B.x_relations, [tau.apply(r) for r in B.x_relations], n):
+        warnings.append("tau is not an automorphism of B; theorem hypotheses not established")
 
     scaled = [
         MuSymmetricMatrix(mu, [[lams[j] * B.matrices[k][i, j] for j in range(n)] for i in range(n)])

@@ -8,9 +8,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exact import rref
-from .freealg import NcPoly, poly_str, word_key
-from .rewrite import GroebnerData, PresentedAlgebra, finite_dim_check, groebner, hilbert_coeffs, normal_form
+from .exact import Echelon
+from .freealg import NcPoly, poly_str
+from .rewrite import GroebnerData, PresentedAlgebra, _relation_key, finite_dim_check, groebner, hilbert_coeffs, normal_form
 
 MAX_PERMUTATION_FORMS = 8
 
@@ -243,10 +243,10 @@ def _pair_expression(mu: MuMatrix, i: int, j: int) -> NcPoly:
 def build_gsca(mu: MuMatrix, matrices: Sequence[MuSymmetricMatrix]) -> CliffordPresentation:
     """Eliminate the degree-two generators from the defining relations.
 
-    The (i<=j) instances of x_i x_j + mu_ij x_j x_i = sum_k (M_k)_ij y_k are
-    row-reduced with rows in lexicographic (i,j) order: pivot rows solve each
-    y_k as a combination of the pair expressions e_ij, and the left kernel of
-    the coefficient matrix supplies the n(n-1)/2 quadratic x-relations.
+    Pair r = (i, j), i <= j, gives x_i x_j + mu_ij x_j x_i = sum_k (M_k)_ij y_k as
+    one sparse row: (M_k)_ij in column k < n, and 1 in column n + r for e_ij.
+    In the reduced echelon form pivot k < n solves y_k in the e_ij, and the rows
+    with pivot >= n, zero on the y columns, are the quadratic x-relations.
     """
     n = mu.n
     if len(matrices) != n:
@@ -255,50 +255,36 @@ def build_gsca(mu: MuMatrix, matrices: Sequence[MuSymmetricMatrix]) -> CliffordP
         if m.mu != mu:
             raise ValueError("matrix attached to a different mu")
     pairs = _pair_index(n)
-    coeff_rows = [[matrices[k][i, j] for k in range(n)] for (i, j) in pairs]
-    npairs = len(pairs)
-    aug = [coeff_rows[r] + [Fraction(1) if c == r else Fraction(0) for c in range(npairs)] for r in range(npairs)]
-    reduced, pivots = rref(aug)
-    # the first n columns of the reduced form reduce the coefficient matrix
-    if pivots[:n] != list(range(n)):
+    ech = Echelon()
+    for r, (i, j) in enumerate(pairs):
+        row = {k: matrices[k][i, j] for k in range(n)}
+        row[n + r] = Fraction(1)
+        ech.add(row)
+    reduced = ech.reduced()
+    if any(k not in reduced for k in range(n)):
         raise ValueError(
             "matrices linearly dependent: the y generators are not expressible in the degree-two span"
         )
-    exprs = {(i, j): _pair_expression(mu, i, j) for (i, j) in pairs}
-    y_expressions = {}
-    x_relations = []
-    for r, row in enumerate(reduced):
-        combo = NcPoly.zero()
-        for c in range(npairs):
-            if row[n + c]:
-                combo = combo + exprs[pairs[c]].scale(row[n + c])
-        if r < len(pivots) and pivots[r] < n:
-            y_expressions[pivots[r]] = combo
-        elif combo:
-            x_relations.append(combo.monic())
-    x_relations.sort(key=lambda p: (word_key(p.lead_word()), p.canonical_key()))
+    exprs = [_pair_expression(mu, i, j) for (i, j) in pairs]
+
+    def combo(row) -> NcPoly:
+        return sum((exprs[col - n].scale(c) for col, c in sorted(row.items()) if col >= n), NcPoly.zero())
+
+    y_expressions = {k: combo(reduced[k]) for k in range(n)}
+    x_relations = sorted((combo(row).monic() for p, row in reduced.items() if p >= n), key=_relation_key)
     return CliffordPresentation(mu, matrices, x_relations, y_expressions)
 
 
 def build_gca(matrices: Sequence[Sequence[Sequence]]) -> CliffordPresentation:
-    """Graded Clifford algebra from symmetric matrices: the mu = 1 case.
+    """Graded Clifford algebra from symmetric matrices (grids): `build_gsca` at mu = 1.
 
     Centrality of the degree-two generators is a consequence, checked by
     `is_central(a*b + b*a, gb)` rather than imposed.
     """
     if not matrices:
         raise ValueError("at least one matrix required")
-    n = len(matrices[0]) if not isinstance(matrices[0], MuSymmetricMatrix) else matrices[0].mu.n
-    mu = MuMatrix.ones(n)
-    wrapped = []
-    for m in matrices:
-        if isinstance(m, MuSymmetricMatrix):
-            if not m.mu.is_ones():
-                raise ValueError("GCA matrices must be symmetric (mu = 1)")
-            wrapped.append(MuSymmetricMatrix(mu, m.entries))
-        else:
-            wrapped.append(check_mu_symmetric(m, mu))
-    return build_gsca(mu, wrapped)
+    ones = MuMatrix.ones(len(matrices))
+    return build_gsca(ones, [check_mu_symmetric(m, ones) for m in matrices])
 
 
 def quadric_system_of(pres: CliffordPresentation) -> QuadricSystem:

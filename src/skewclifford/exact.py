@@ -1,4 +1,4 @@
-"""Exact rational scalars, parameter polynomials, a sparse echelon kernel (with `rank` and `rref` on it) and parametric minors."""
+"""Exact rational scalars, parameter polynomials, a sparse echelon kernel and parametric minors."""
 
 from __future__ import annotations
 
@@ -335,6 +335,24 @@ class Echelon:
             return None
         return tuple(Fraction(combo.get(t, 0)) for t in range(size))
 
+    def reduced(self) -> Dict:
+        """The unique reduced echelon form, Gauss-Jordan's, as {pivot: row} in pivot order; the rows stay as they are."""
+        out: Dict = {}
+        for p in sorted(self.rows, reverse=True):
+            # rows with larger pivots are already reduced, so each subtraction
+            # clears one pivot column and fills no other
+            row = dict(self.rows[p])
+            for q in [col for col in row if col in out]:
+                f = row[q]
+                for col, v in out[q].items():
+                    new = row.get(col, 0) - f * v
+                    if new:
+                        row[col] = new
+                    else:
+                        del row[col]
+            out[p] = row
+        return {p: out[p] for p in reversed(out)}
+
 
 def rank(m: ExactMatrix) -> int:
     """Exact rank over the rationals: the number of rows an `Echelon` accepts."""
@@ -345,36 +363,20 @@ def rank(m: ExactMatrix) -> int:
 
 
 def rref(rows: Sequence[Sequence[Fraction]]):
-    """Reduced row echelon form with first-pivot preference.
+    """Reduced row echelon form with first-pivot preference, as dense rows.
 
-    Returns (new_rows, pivot_columns): the nonzero rows in pivot order, then
-    zero rows up to the input's row count.  The rows are those of an
-    `Echelon`, cleared above each pivot by back-substitution; the reduced
-    form is unique, so it is the one Gauss-Jordan elimination gives.
+    Returns (new_rows, pivot_columns): the rows of `Echelon.reduced` in
+    pivot order, then zero rows up to the input's row count.
     """
     ncols = len(rows[0]) if rows else 0
     ech = Echelon()
     for row in rows:
         ech.add(row)
-    pivots = sorted(ech.rows)
-    reduced: Dict = {}
-    for p in reversed(pivots):
-        # rows with larger pivots are already reduced, so each subtraction
-        # clears one pivot column and fills no other
-        row = dict(ech.rows[p])
-        for q in [col for col in row if col in reduced]:
-            f = row[q]
-            for col, v in reduced[q].items():
-                new = row.get(col, 0) - f * v
-                if new:
-                    row[col] = new
-                else:
-                    del row[col]
-        reduced[p] = row
+    reduced = ech.reduced()
     zero = Fraction(0)
-    out = [[reduced[p].get(col, zero) for col in range(ncols)] for p in pivots]
-    out.extend([zero] * ncols for _ in range(len(rows) - len(pivots)))
-    return out, pivots
+    out = [[r.get(col, zero) for col in range(ncols)] for r in reduced.values()]
+    out.extend([zero] * ncols for _ in range(len(rows) - len(reduced)))
+    return out, list(reduced)
 
 
 def solve_in_span(target: Sequence[Fraction], basis: Sequence[Sequence[Fraction]]):

@@ -6,7 +6,7 @@ import re
 from fractions import Fraction
 from typing import Iterator, Sequence, Tuple
 
-from .exact import ExactMatrix, join_terms, parse_scalar, rref
+from .exact import Echelon, ExactMatrix, join_terms, parse_scalar
 
 # Words are tuples of 0-based generator indices; rendering is 1-based.
 Word = Tuple[int, ...]
@@ -200,12 +200,14 @@ class LinearMap:
         return NcPoly({(i,): self.matrix[i, j] for i in range(self.n)})
 
     def inverse(self) -> "LinearMap":
+        """The inverse map: row j of the inverse matrix writes e_j in the rows of this one."""
         n = self.n
-        aug = [list(self.matrix.row(i)) + list(ExactMatrix.identity(n).row(i)) for i in range(n)]
-        reduced, pivots = rref(aug)
-        if pivots != list(range(n)):
+        rows = Echelon()
+        for i in range(n):
+            rows.add(self.matrix.row(i), tag=i)
+        if len(rows) < n:
             raise ValueError("singular map")
-        return LinearMap(ExactMatrix([row[n:] for row in reduced]))
+        return LinearMap(ExactMatrix([rows.solve({j: 1}, n) for j in range(n)]))
 
     def compose(self, other: "LinearMap") -> "LinearMap":
         """self after other, as maps on the generator span."""

@@ -13,7 +13,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Union
 
 from .exact import int_scaled
 from .freealg import MAX_GENERATORS, NcPoly, Word, word_key
@@ -224,13 +224,12 @@ class GroebnerData:
     `require` is the one check every reader makes before relying on that.
     """
 
-    __slots__ = ("source", "max_degree", "elements", "_basis_cache", "_rules")
+    __slots__ = ("source", "max_degree", "elements", "_rules")
 
     def __init__(self, source: PresentedAlgebra, max_degree: int, rules: _LeadIndex):
         self.source = source
         self.max_degree = max_degree
         self.elements = tuple(rules.by_lead[lw] for lw in sorted(rules.by_lead, key=word_key))
-        self._basis_cache: dict = {}
         self._rules = rules
 
     @property
@@ -472,39 +471,41 @@ def normal_form(p: NcPoly, gb: GroebnerData) -> NcPoly:
     return reduce_poly(p, gb._rules)
 
 
+def _normal_words(gb: GroebnerData, through: int) -> Iterator[List[Word]]:
+    """The words with no leading word as a subword, one deglex list per degree 0..through.
+
+    Each degree grows from the one before by a letter and nothing else is kept.
+    """
+    gb.require(through)
+    leads = gb._rules.by_lead
+    lengths = gb._rules.lengths
+    words: List[Word] = [()]
+    for d in range(through + 1):
+        if d:
+            grown = []
+            for w in words:
+                for i in range(gb.n):
+                    cand = w + (i,)
+                    # w is already normal, so only suffixes ending at the new
+                    # letter can introduce a leading word.
+                    if not any(d >= L and cand[d - L :] in leads for L in lengths):
+                        grown.append(cand)
+            words = grown
+        yield words
+
+
 def degree_basis(gb: GroebnerData, d: int) -> List[Word]:
     """All degree-d words with no leading word as a subword, in deglex order."""
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    gb.require(d)
-    cache = gb._basis_cache
-    if d in cache:
-        return cache[d]
-    leads = gb._rules.by_lead
-    lengths = gb._rules.lengths
-    start = max((k for k in cache if k <= d), default=None)
-    if start is None:
-        cache[0] = [()]
-        start = 0
-    words = cache[start]
-    for k in range(start + 1, d + 1):
-        nxt = []
-        for w in words:
-            for i in range(gb.n):
-                cand = w + (i,)
-                # w is already normal, so only suffixes ending at the new
-                # letter can introduce a leading word.
-                if any(len(cand) >= L and cand[len(cand) - L :] in leads for L in lengths):
-                    continue
-                nxt.append(cand)
-        cache[k] = nxt
-        words = nxt
-    return cache[d]
+    for words in _normal_words(gb, d):
+        pass
+    return words
 
 
 def hilbert_coeffs(gb: GroebnerData, through: int) -> List[int]:
     """Dimensions of the graded pieces 0..through."""
-    return [len(degree_basis(gb, d)) for d in range(through + 1)]
+    return [len(words) for words in _normal_words(gb, through)]
 
 
 @dataclass(frozen=True)
@@ -526,9 +527,8 @@ def finite_dim_check(gb: GroebnerData) -> FiniteDimVerdict:
     is generated in degree one.
     """
     total = 0
-    for d in range(gb.complete_through + 1):
-        count = len(degree_basis(gb, d))
-        if count == 0:
+    for words in _normal_words(gb, gb.complete_through):
+        if not words:
             return FiniteDimVerdict(True, total, gb.complete_through)
-        total += count
+        total += len(words)
     return FiniteDimVerdict(False, None, gb.complete_through)

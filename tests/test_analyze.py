@@ -522,6 +522,10 @@ class TestRElements:
             build_r_elements(pres, DiagonalAutomorphism((1, 2, 2)))
 
 
+BPF_WARNING = "quadric system of B not verified base-point-free; theorem hypotheses not established"
+TAU_WARNING = "tau is not an automorphism of B; theorem hypotheses not established"
+
+
 class TestVerifyTwistTheorem:
     def test_n2_hand_instance(self):
         report = verify_twist_theorem(diag_grids(2), DiagonalAutomorphism((1, 2)), 8)
@@ -649,6 +653,34 @@ class TestVerifyTwistTheorem:
         phi = LinearMap.from_rows([[1, 1], [0, 1]])
         with pytest.raises(ValueError, match="diagonalize"):
             verify_twist_theorem(diag_grids(2), phi, 8)
+
+    @pytest.mark.parametrize(("through", "warned"), [(4, True), (5, False)])
+    def test_base_point_check_runs_at_the_bound(self, through, warned):
+        # the quotient of diagonal B at n = 4 vanishes in degree 5, so its
+        # finite dimension shows from bound 5 on, not at 4
+        report = verify_twist_theorem(diag_grids(4), DiagonalAutomorphism((1, 2, -1, 3)), through)
+        assert report.passed
+        assert report.warnings == ((BPF_WARNING,) if warned else ())
+
+    # the forms of perfbench's triangular generator at seed 1, n = 4, mu = 1
+    TRIANGULAR_N4 = [
+        [[3, 1, -2, 0], [1, -2, 0, 0], [-2, 0, 0, 2], [0, 0, 2, 0]],
+        [[0, 0, 0, 0], [0, -1, -2, 0], [0, -2, -2, 0], [0, 0, 0, 0]],
+        [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, Fraction(-3, 2), -2], [0, 0, -2, 2]],
+        [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, Fraction(1, 3)]],
+    ]
+
+    def test_warns_when_tau_is_not_an_automorphism_of_b(self):
+        # tau does not map the span of B's relations onto itself; the clauses
+        # still run, and three of them fail
+        report = verify_twist_theorem(self.TRIANGULAR_N4, DiagonalAutomorphism((2, 3, -1, Fraction(1, 2))), 6)
+        assert report.warnings == (TAU_WARNING,)
+        assert (report.normality_ok, report.dagger_ok, report.r_hilbert_ok) == (False, False, False)
+
+    def test_a_scalar_tau_is_an_automorphism_of_b(self):
+        report = verify_twist_theorem(self.TRIANGULAR_N4, DiagonalAutomorphism((2, 2, 2, 2)), 6)
+        assert report.warnings == ()
+        assert report.passed
 
     def test_warns_on_base_points(self):
         # dependent rows would fail the build; use independent matrices with a

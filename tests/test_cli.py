@@ -390,10 +390,13 @@ TRIANGULAR_SPECS = {"gca-n5": _triangular_spec(5, 5, False), "gsca-n4": _triangu
 
 # report_digest of the quotient and search reports on TRIANGULAR_SPECS, whose
 # quotient bases resolve many overlaps; any change to the Groebner engine must
-# leave them as they are
+# leave them as they are.  `build` and `twist` print build_gsca's relations and
+# y expressions in its order, so they guard the elimination as well.
 TRIANGULAR_DIGESTS = {
     ("bpf", "gca-n5"): "00559d9ff0fe17a5",
     ("bpf", "gsca-n4"): "1cfce439e94e5e69",
+    ("build", "gca-n5"): "5b9e0b9f9389d0ac",
+    ("build", "gsca-n4"): "90c53662d4993136",
     ("dim --algebra quotient", "gca-n5"): "2fd47e868c7d2618",
     ("dim --algebra quotient", "gsca-n4"): "996a9a06528460d3",
     ("gb --algebra quotient", "gca-n5"): "671984ea1928c9b5",
@@ -402,6 +405,8 @@ TRIANGULAR_DIGESTS = {
     ("hilbert --algebra quotient", "gsca-n4"): "43d21f915fb3a172",
     ("regular", "gca-n5"): "b59df33f945c0fe5",
     ("regular", "gsca-n4"): "78fa411ca5405bd9",
+    ("twist --tau 2,3,-1,1/2,-3", "gca-n5"): "71278133c858c02e",
+    ("twist --tau 2,3,-1,1/2", "gsca-n4"): "877431d7953a5184",
 }
 
 

@@ -167,6 +167,12 @@ class TestEchelon:
         # the second row is reduced against the first before it is stored
         assert ech.rows == {1: {1: 1, 2: 2}, 0: {0: 1, 2: -2}}
 
+    def test_reduced_of_no_rows_and_zero_rows(self):
+        assert Echelon().reduced() == {}
+        ech = Echelon()
+        assert not ech.add([0, 0])
+        assert ech.reduced() == {}
+
     def test_untagged_rows_cannot_solve(self):
         ech = Echelon()
         ech.add([1, 0])
@@ -196,6 +202,19 @@ class TestRref:
         assert (reduced, pivots) == naive_rref(rows)
         assert all(type(e) is Fraction for row in reduced for e in row)
         assert rank(ExactMatrix(rows)) == local_rank(rows)
+
+    @PROPERTY
+    @given(low_rank_matrices())
+    def test_echelon_reduced_matches_gauss_jordan(self, rows):
+        ech = Echelon()
+        for row in rows:
+            ech.add(row)
+        stored = {p: dict(row) for p, row in ech.rows.items()}
+        reduced = ech.reduced()
+        work, pivots = naive_rref(rows)
+        assert list(reduced) == pivots
+        assert reduced == {p: {c: v for c, v in enumerate(row) if v} for p, row in zip(pivots, work)}
+        assert ech.rows == stored  # the echelon itself is left as it was
 
     def test_shapes(self):
         assert rref([]) == ([], [])

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewclifford.exact import ExactMatrix
 from skewclifford.freealg import (
@@ -15,9 +17,23 @@ from skewclifford.freealg import (
     word_key,
 )
 
+from oracles import local_rank
+
 
 def x(i):
     return NcPoly.generator(i)
+
+
+@st.composite
+def square_matrices(draw):
+    """2x2 to 4x4 rational matrices, mostly invertible; sometimes the last row is a combination of the others."""
+    n = draw(st.integers(2, 4))
+    entry = st.sampled_from([Fraction(v) for v in (0, 1, -1, 2, -2, Fraction(1, 2), Fraction(-3, 5))])
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        weights = draw(st.lists(entry, min_size=n - 1, max_size=n - 1))
+        rows[-1] = [sum((w * row[c] for w, row in zip(weights, rows)), Fraction(0)) for c in range(n)]
+    return rows
 
 
 class TestNcMul:
@@ -100,6 +116,17 @@ class TestApplyLinear:
     def test_singular(self):
         with pytest.raises(ValueError, match="singular map"):
             LinearMap.from_rows([[1, 2], [2, 4]]).inverse()
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(square_matrices())
+    def test_inverse_composes_to_the_identity(self, rows):
+        phi = LinearMap.from_rows(rows)
+        if local_rank(rows) < len(rows):
+            with pytest.raises(ValueError, match="singular map"):
+                phi.inverse()
+        else:
+            identity = LinearMap.identity(len(rows))
+            assert phi.compose(phi.inverse()) == identity == phi.inverse().compose(phi)
 
 
 class TestPolyText:

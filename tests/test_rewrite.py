@@ -1,6 +1,8 @@
+import itertools
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -13,6 +15,7 @@ from skewclifford.analyze import is_central, is_normal, normal_locus_in_span, su
 from skewclifford.freealg import NcPoly, word_key
 from skewclifford.rewrite import (
     DegreeBoundError,
+    FiniteDimVerdict,
     PresentedAlgebra,
     degree_basis,
     finite_dim_check,
@@ -37,12 +40,8 @@ def skew_ring_21():
     return sk.build_skew_ring(example21_mu())
 
 
-def triangular_gca_quotient(seed, n):
-    """Skew ring (mu = 1) modulo n quadrics, the k-th on z_k..z_n with a nonzero z_k^2 term.
-
-    The triangular shape leaves the origin as the only common zero, so the
-    quotient is a complete intersection of dimension 2^n.
-    """
+def triangular_gca(seed, n):
+    """The GCA of n quadrics, the k-th on z_k..z_n with a nonzero z_k^2 term."""
     rng = random.Random(seed)
     entries = [Fraction(v) for v in (-2, -1, 0, 0, 1, 2)]
     squares = [Fraction(v) for v in (1, 2, 3, -1, -2, Fraction(1, 2), Fraction(-1, 2))]
@@ -53,7 +52,16 @@ def triangular_gca_quotient(seed, n):
             for j in range(i, n):
                 g[i][j] = g[j][i] = rng.choice(squares) if i == j == k else rng.choice(entries)
         grids.append(g)
-    system = sk.quadric_system_of(sk.build_gca(grids))
+    return sk.build_gca(grids)
+
+
+def triangular_gca_quotient(seed, n):
+    """Skew ring (mu = 1) modulo the quadrics of `triangular_gca`.
+
+    The triangular shape leaves the origin as the only common zero, so the
+    quotient is a complete intersection of dimension 2^n.
+    """
+    system = sk.quadric_system_of(triangular_gca(seed, n))
     rels = list(sk.build_skew_ring(sk.MuMatrix.ones(n)).relations) + [q.as_ncpoly() for q in system.forms]
     return PresentedAlgebra(n, rels)
 
@@ -531,6 +539,47 @@ class TestHilbert:
             assert hilbert_coeffs(gb, through) == free_quotient_dims(n, rel_terms, through), (
                 f"n={n} relations={[str(r) for r in alg.relations]}"
             )
+
+
+class TestDegreeWalk:
+    """`degree_basis`, `hilbert_coeffs` and `finite_dim_check` read one walk over the degrees."""
+
+    @PROPERTY
+    @given(st.one_of(presentations().map(lambda c: (c[0], PresentedAlgebra(c[0], c[1]), c[2])), skew_quotients()))
+    def test_readers_agree_with_listing_every_word(self, case):
+        n, alg, bound = case
+        gb = groebner(alg, bound)
+        leads = gb.lead_words()
+        counts = []
+        for d in range(bound + 1):
+            words = [
+                w
+                for w in itertools.product(range(n), repeat=d)
+                if not any(w[p : p + len(u)] == u for u in leads for p in range(d - len(u) + 1))
+            ]
+            assert degree_basis(gb, d) == words
+            counts.append(len(words))
+        assert hilbert_coeffs(gb, bound) == counts
+        if 0 in counts:
+            expected = FiniteDimVerdict(True, sum(counts[: counts.index(0)]), bound)
+        else:
+            expected = FiniteDimVerdict(False, None, bound)
+        assert finite_dim_check(gb) == expected
+
+    def test_hilbert_keeps_two_degrees_alive(self):
+        # The GCA at n = 6 has C(5 + d, 5) normal words in degree d: 11628 in
+        # degree 14 and 27132 below it.  Keeping every degree peaked at about
+        # 5.6 MB; the walk keeps the last two degrees and peaks at about
+        # 4.4 MB (tracemalloc, CPython 3.11).  The bound lies between them.
+        gb = triangular_gca(6, 6).groebner(14)
+        tracemalloc.start()
+        try:
+            coeffs = hilbert_coeffs(gb, 14)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert coeffs == [math.comb(5 + d, d) for d in range(15)]
+        assert peak < 5_000_000, f"hilbert_coeffs peaked at {peak / 1e6:.2f} MB"
 
 
 class TestFiniteDim:
