@@ -9,7 +9,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exact import Echelon
-from .freealg import NcPoly, poly_str
+from .freealg import MAX_GENERATORS, NcPoly, poly_str
 from .rewrite import GroebnerData, PresentedAlgebra, _relation_key, finite_dim_check, groebner, hilbert_coeffs, normal_form
 
 MAX_PERMUTATION_FORMS = 8
@@ -249,6 +249,8 @@ def build_gsca(mu: MuMatrix, matrices: Sequence[MuSymmetricMatrix]) -> CliffordP
     with pivot >= n, zero on the y columns, are the quadratic x-relations.
     """
     n = mu.n
+    if not 1 <= n <= MAX_GENERATORS:
+        raise ValueError(f"generator count must be in 1..{MAX_GENERATORS}, got {n}")
     if len(matrices) != n:
         raise ValueError(f"expected {n} matrices, got {len(matrices)}")
     for m in matrices:

@@ -13,7 +13,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .exact import int_scaled
 from .freealg import MAX_GENERATORS, NcPoly, Word, word_key
@@ -75,40 +75,46 @@ class PresentedAlgebra:
 
 
 class _LeadIndex:
-    """The rewriting rules of a set of monic polynomials, indexed by leading word.
+    """The rewriting rules of a set of monic polynomials, as primitive integer rows.
 
-    `by_lead` maps each leading word to its polynomial (the first one given
-    when several share a leading word) and `lengths` lists the distinct
-    leading-word lengths in increasing order, so the smallest leading word
-    at a position is found by hashing one slice per length.  `_tails` holds
-    each rule as (s, tail): s is the lcm of the denominators of its other
-    coefficients, and tail lists its other words with their negated
-    coefficients times s, as ints, so the leading word equals
-    sum(t * word for word, t in tail) / s.
+    `by_lead` maps each leading word to its rule (s, tail) (the first one
+    given when several share a leading word): tail maps the rule's other
+    words to ints, with the leading word equal to
+    sum(t * word for word, t in tail.items()) / s and s > 0.  `of_length`
+    lists the leading words of each length and `lengths` the distinct
+    lengths in increasing order, so the smallest leading word at a position
+    is found by hashing one slice per length.
     """
 
-    __slots__ = ("by_lead", "lengths", "_tails")
+    __slots__ = ("by_lead", "of_length", "lengths")
 
     def __init__(self, basis: Sequence[NcPoly] = ()):
-        self.by_lead: Dict[Word, NcPoly] = {}
+        self.by_lead: Dict[Word, tuple] = {}
+        self.of_length: Dict[int, List[Word]] = {}
         self.lengths: List[int] = []
-        self._tails: Dict[Word, tuple] = {}
         for g in basis:
             lw = g.lead_word()
             if lw not in self.by_lead:
-                self.add(lw, g)
+                scale, rest = int_scaled({w: c for w, c in g.terms.items() if w != lw})
+                self.add(lw, (scale, {w: -t for w, t in rest.items()}))
 
-    def add(self, lw: Word, g: NcPoly) -> None:
-        """Index g under its leading word lw, replacing any rule indexed there."""
-        self.by_lead[lw] = g
-        scale, rest = int_scaled({w: c for w, c in g.terms.items() if w != lw})
-        self._tails[lw] = (scale, tuple((w, -t) for w, t in rest.items()))
-        if len(lw) not in self.lengths:
-            bisect.insort(self.lengths, len(lw))
+    def add(self, lw: Word, rule: tuple) -> None:
+        """Index the rule (s, tail) under a leading word that has none yet."""
+        self.by_lead[lw] = rule
+        L = len(lw)
+        if L not in self.of_length:
+            self.of_length[L] = []
+            bisect.insort(self.lengths, L)
+        self.of_length[L].append(lw)
+
+    def element(self, lw: Word) -> NcPoly:
+        """The monic polynomial of the rule indexed under lw."""
+        s, tail = self.by_lead[lw]
+        return NcPoly._make({lw: Fraction(1), **{w: Fraction(-t, s) for w, t in tail.items()}})
 
     def match(self, w: Word):
         """(position, length, (s, tail)) of the leftmost, smallest rule matching w, or None."""
-        get = self._tails.get
+        get = self.by_lead.get
         lengths = self.lengths
         n = len(w)
         if not lengths:
@@ -118,9 +124,9 @@ class _LeadIndex:
                 end = pos + L
                 if end > n:
                     break
-                tail = get(w[pos:end])
-                if tail is not None:
-                    return pos, L, tail
+                rule = get(w[pos:end])
+                if rule is not None:
+                    return pos, L, rule
         return None
 
 
@@ -129,8 +135,12 @@ def _descending(w: Word) -> int:
     return -int.from_bytes(b"\x01" + bytes(w), "big")
 
 
-def reduce_poly(p: NcPoly, basis: Union[Sequence[NcPoly], _LeadIndex]) -> NcPoly:
-    """Fully reduce p modulo a list (or lead index) of monic polynomials.
+def _reduce(rules: _LeadIndex, den: int, terms: Dict[Word, int]) -> Tuple[int, Dict[Word, int]]:
+    """Fully reduce sum(c * w for w, c in terms.items()) / den modulo rules, in ints.
+
+    Returns (den', done): the remainder is sum(c * w for w, c in
+    done.items()) / den', and done lists its words in decreasing deglex
+    order.  terms is consumed.
 
     Strategy is fixed for reproducibility: rewrite the deglex-largest
     reducible word, at its leftmost reducible position, by the smallest
@@ -138,21 +148,15 @@ def reduce_poly(p: NcPoly, basis: Union[Sequence[NcPoly], _LeadIndex]) -> NcPoly
     A rewrite replaces a word by deglex-smaller ones, so words are taken
     off a max-heap, and a word found irreducible is final.
 
-    The arithmetic is fraction-free: live terms are int numerators over one
-    running denominator den.  Rewriting c*w by a rule (s, tail) adds
+    The arithmetic is fraction-free: rewriting c*w by a rule (s, tail) adds
     (c/g)*t for each tail entry t, where g = gcd(c, s), after every live
-    numerator and den are multiplied by s/g.  A word found irreducible
-    leaves as the exact Fraction c/den.
+    and finished numerator and den are multiplied by s/g.
     """
-    rules = basis if isinstance(basis, _LeadIndex) else _LeadIndex(basis)
-    if not rules.by_lead:
-        return p
     match = rules.match
     gcd = math.gcd
-    den, terms = int_scaled(p.terms)
     heap = [(_descending(w), w) for w in terms]
     heapq.heapify(heap)
-    done = {}
+    done: Dict[Word, int] = {}
     while heap:
         w = heapq.heappop(heap)[1]
         c = terms.pop(w, None)
@@ -160,7 +164,7 @@ def reduce_poly(p: NcPoly, basis: Union[Sequence[NcPoly], _LeadIndex]) -> NcPoly
             continue  # cancelled since it was queued
         hit = match(w)
         if hit is None:
-            done[w] = Fraction(c, den)
+            done[w] = c
             continue
         pos, L, (scale, tail) = hit
         if scale != 1:
@@ -170,9 +174,11 @@ def reduce_poly(p: NcPoly, basis: Union[Sequence[NcPoly], _LeadIndex]) -> NcPoly
                 den *= k
                 for live in terms:
                     terms[live] *= k
+                for final in done:
+                    done[final] *= k
             c //= g
         left, right = w[:pos], w[pos + L :]
-        for gw, t in tail:
+        for gw, t in tail.items():
             d = c * t
             nw = left + gw + right
             old = terms.get(nw)
@@ -185,33 +191,75 @@ def reduce_poly(p: NcPoly, basis: Union[Sequence[NcPoly], _LeadIndex]) -> NcPoly
                     terms[nw] = s
                 else:
                     del terms[nw]
+    return den, done
+
+
+def reduce_poly(p: NcPoly, basis: Union[Sequence[NcPoly], _LeadIndex]) -> NcPoly:
+    """Fully reduce p modulo a list (or lead index) of monic polynomials.
+
+    A wrapper over the integer kernel `_reduce`, with its strategy: p's
+    coefficients are scaled to ints over one denominator, and each word of
+    the remainder leaves as the exact Fraction c/den.
+    """
+    rules = basis if isinstance(basis, _LeadIndex) else _LeadIndex(basis)
+    if not rules.by_lead:
+        return p
+    den, terms = int_scaled(p.terms)
+    den, done = _reduce(rules, den, terms)
+    for w, c in done.items():
+        done[w] = Fraction(c, den)
     return NcPoly._make(done)
 
 
-def _adjoin(rules: _LeadIndex, h: NcPoly) -> None:
-    """Adjoin h of degree d, nonzero and reduced modulo rules that are inter-reduced and final below d.
+def _adjoin(rules: _LeadIndex, h: Dict[Word, int]) -> None:
+    """Adjoin the nonzero int remainder h of degree d, its words in decreasing order, to rules final below d.
 
-    h is made monic.  No element of lower degree has a word of degree d, and
-    a word of degree d holds lead(h) only by being it, so subtracting c*h
-    from each rule that has lead(h) with coefficient c keeps degree d in
-    reduced echelon form.  Then h is indexed.
+    Dividing h by its content, signed like its lead coefficient, gives the
+    new rule's primitive row.  No element of lower degree has a word of
+    degree d, and a word of degree d holds lead(h) only by being it, so
+    substituting the new rule for lead(h) in each rule of degree d that
+    has it keeps degree d in reduced echelon form; each changed row is
+    made primitive again.
     """
-    h = h.monic()
-    lw = h.lead_word()
-    for other, g in list(rules.by_lead.items()):
-        c = g.terms.get(lw)
-        if c is not None:
-            rules.add(other, g - h.scale(c))
-    rules.add(lw, h)
+    gcd = math.gcd
+    lw, c = next(iter(h.items()))
+    g = gcd(*h.values())
+    if c < 0:
+        g = -g
+    s = c // g
+    tail = {w: -(t // g) for w, t in h.items() if w != lw}
+    by_lead = rules.by_lead
+    for other in rules.of_length.get(len(lw), ()):
+        so, to = by_lead[other]
+        t = to.get(lw)
+        if t is None:
+            continue
+        q = gcd(s, t)
+        ms, mt = s // q, t // q
+        new = {w: x * ms for w, x in to.items() if w != lw}
+        for w, x in tail.items():
+            y = new.get(w, 0) + mt * x
+            if y:
+                new[w] = y
+            else:
+                del new[w]
+        so *= ms
+        content = gcd(so, *new.values())
+        if content != 1:
+            so //= content
+            new = {w: x // content for w, x in new.items()}
+        by_lead[other] = (so, new)
+    rules.add(lw, (s, tail))
 
 
 def _interreduce(rules: _LeadIndex, polys: Sequence[NcPoly]) -> None:
     """Adjoin polys of one degree d to rules that are inter-reduced and final below d.
 
-    Each p is reduced modulo the rules and, if nonzero, adjoined by `_adjoin`.
+    Each p is reduced modulo the rules by `_reduce` and, if nonzero,
+    adjoined by `_adjoin`.
     """
     for p in polys:
-        h = reduce_poly(p, rules)
+        h = _reduce(rules, *int_scaled(p.terms))[1]
         if h:
             _adjoin(rules, h)
 
@@ -219,18 +267,22 @@ def _interreduce(rules: _LeadIndex, polys: Sequence[NcPoly]) -> None:
 class GroebnerData:
     """A truncated, inter-reduced rewriting system for a graded presentation.
 
-    `elements` lists the rules of the lead index in deglex order of their
-    leading words.  Normal forms are unique through `max_degree`, and
-    `require` is the one check every reader makes before relying on that.
+    The rules stay integer rows in the lead index; `elements` builds their
+    monic polynomials, in deglex order of the leading words, on each read.
+    Normal forms are unique through `max_degree`, and `require` is the one
+    check every reader makes before relying on that.
     """
 
-    __slots__ = ("source", "max_degree", "elements", "_rules")
+    __slots__ = ("source", "max_degree", "_rules")
 
     def __init__(self, source: PresentedAlgebra, max_degree: int, rules: _LeadIndex):
         self.source = source
         self.max_degree = max_degree
-        self.elements = tuple(rules.by_lead[lw] for lw in sorted(rules.by_lead, key=word_key))
         self._rules = rules
+
+    @property
+    def elements(self) -> Tuple[NcPoly, ...]:
+        return tuple(self._rules.element(lw) for lw in self.lead_words())
 
     @property
     def n(self) -> int:
@@ -246,7 +298,7 @@ class GroebnerData:
             raise DegreeBoundError(f"degree {degree} exceeds completeness bound {self.max_degree}")
 
     def lead_words(self) -> List[Word]:
-        return [g.lead_word() for g in self.elements]
+        return sorted(self._rules.by_lead, key=word_key)
 
     def __eq__(self, other):
         return (
@@ -305,14 +357,15 @@ class _Overlaps:
 
     def finish(self, degree: int) -> None:
         """Index the leading words of a degree that is final."""
-        for lw in self.rules.by_lead:
-            if len(lw) == degree:
-                self.finished.append(lw)
-                for ell in range(1, degree):
-                    self.starts.setdefault((degree, lw[:ell]), []).append(lw)
+        for lw in self.rules.of_length.get(degree, ()):
+            self.finished.append(lw)
+            for ell in range(1, degree):
+                self.starts.setdefault((degree, lw[:ell]), []).append(lw)
 
     def pending(self, degree: int):
         """(a, f, g, b) for each obstruction a*lead(g) = lead(f)*b of the given degree not proved to resolve.
+
+        f and g are the rules (s, tail) of the lead index.
 
         Items are sorted by (ambiguity word, overlap length, length of
         lead(f)); those three values fix the pair, so no two items tie.
@@ -359,7 +412,8 @@ class _Overlaps:
         """Letters j with prod_{l in m} mu[l][j] one scalar over the words m of the element led by lw."""
         found = self._homogeneous.get(lw)
         if found is None:
-            first, *rows = [self._row(c) for c in {tuple(sorted(m)) for m in self.rules.by_lead[lw].terms}]
+            words = (lw, *self.rules.by_lead[lw][1])
+            first, *rows = [self._row(c) for c in {tuple(sorted(m)) for m in words}]
             found = frozenset(j for j in range(len(first)) if all(row[j] == first[j] for row in rows))
             self._homogeneous[lw] = found
         return found
@@ -370,23 +424,6 @@ class _Overlaps:
         if row is None:
             row = self._rows[content] = tuple(a * b for a, b in zip(self._row(content[:-1]), self.mu[content[-1]]))
         return row
-
-
-def _s_polynomial(a: Word, f: NcPoly, g: NcPoly, b: Word) -> NcPoly:
-    """f*b - a*g, formed by shifting the words of f and g."""
-    terms = {w + b: c for w, c in f.terms.items()}
-    for w, c in g.terms.items():
-        w = a + w
-        old = terms.get(w)
-        if old is None:
-            terms[w] = -c
-        else:
-            s = old - c
-            if s:
-                terms[w] = s
-            else:
-                del terms[w]
-    return NcPoly._make(terms)
 
 
 def groebner(alg: PresentedAlgebra, max_degree: int) -> GroebnerData:
@@ -401,6 +438,16 @@ def groebner(alg: PresentedAlgebra, max_degree: int) -> GroebnerData:
     holds a relation is not complete: its elements are the relations of that
     degree, reduced modulo all lower-degree elements, in reduced echelon
     form.
+
+    The loop runs on the primitive integer rows of `_LeadIndex` from start
+    to finish, with no Fraction in it.  For rules f = (s_f, tail_f) and
+    g = (s_g, tail_g), s_f * s_g * (f*b - a*g) is s_f * a*tail_g -
+    s_g * tail_f*b, as the leading words cancel; the one kernel `_reduce`
+    reduces it in ints, and only whether the remainder is zero and its
+    direction matter, so its denominator is dropped.  `_adjoin` makes a
+    nonzero remainder primitive and substitutes it into the rules of its
+    own degree alone.  Polynomials are built from the rows only when
+    `GroebnerData.elements` is read.
 
     An obstruction a*lead(g) = lead(f)*b at the word W, with u = lead(f)
     and v = lead(g), need not be reduced when f*b - a*g is a combination of
@@ -455,8 +502,17 @@ def groebner(alg: PresentedAlgebra, max_degree: int) -> GroebnerData:
     for d in range(2, max([max_degree, *by_degree]) + 1):
         _interreduce(rules, by_degree.get(d, ()))
         if d <= max_degree:
-            for a, f, g, b in overlaps.pending(d):
-                h = reduce_poly(_s_polynomial(a, f, g, b), rules)
+            for a, (sf, tf), (sg, tg), b in overlaps.pending(d):
+                # s_f * s_g * (f*b - a*g): the leading words cancel
+                terms = {a + w: sf * t for w, t in tg.items()}
+                for w, t in tf.items():
+                    w += b
+                    c = terms.get(w, 0) - sg * t
+                    if c:
+                        terms[w] = c
+                    else:
+                        del terms[w]
+                h = _reduce(rules, 1, terms)[1]
                 if h:
                     _adjoin(rules, h)
             overlaps.finish(d)

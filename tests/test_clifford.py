@@ -168,6 +168,11 @@ class TestBuildGsca:
         with pytest.raises(ValueError, match="linearly dependent"):
             sk.build_gsca(mu, [m, m])
 
+    @pytest.mark.parametrize("n", [0, 17])
+    def test_generator_count_checked_up_front(self, n):
+        with pytest.raises(ValueError, match=f"generator count must be in 1..16, got {n}"):
+            sk.build_gsca(sk.MuMatrix.ones(n), [])
+
     def test_relation_count_random(self):
         rng = random.Random(55)
         built = 0

@@ -99,13 +99,13 @@ def reduction_problems(draw, coeffs=COEFFS):
 
 
 @st.composite
-def presentations(draw):
+def presentations(draw, coeffs=COEFFS):
     """(n, homogeneous relations of degree 2 or 3, completeness bound)."""
     n = draw(st.integers(2, 3))
     rels = []
     for _ in range(draw(st.integers(1, 4))):
         deg = draw(st.sampled_from((2, 2, 3)))
-        rels.append(draw(_polys(n, deg, deg, 3, min_terms=1)))
+        rels.append(draw(_polys(n, deg, deg, 3, min_terms=1, coeffs=coeffs)))
     return n, rels, 5 if n == 2 else 4
 
 
@@ -257,13 +257,13 @@ class TestGroebner:
     @staticmethod
     def _reductions(monkeypatch, alg, bound):
         calls = []
-        counted = rewrite.reduce_poly
+        counted = rewrite._reduce
 
         def count(*args):
             calls.append(1)
             return counted(*args)
 
-        monkeypatch.setattr(rewrite, "reduce_poly", count)
+        monkeypatch.setattr(rewrite, "_reduce", count)
         return groebner(alg, bound), len(calls)
 
     def test_reduction_count(self, monkeypatch):
@@ -292,6 +292,26 @@ class TestGroebner:
     def test_skew_quotient_bases_match_the_free_algebra_rref(self, case):
         n, alg, bound = case
         gb = groebner(alg, bound)
+        assert [g.terms for g in gb.elements] == free_reduced_basis(n, [r.terms for r in alg.relations], bound)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        st.one_of(
+            skew_quotients(),
+            presentations(COPRIME).map(lambda case: (case[0], PresentedAlgebra(case[0], case[1]), case[2])),
+        )
+    )
+    def test_rule_rows_stay_primitive(self, case):
+        # Every rule is kept as a primitive int row over s > 0, so its
+        # numbers are fixed by the element and cannot grow with the work done;
+        # the non-monic relations over coprime denominators rescale most rows
+        n, alg, bound = case
+        gb = groebner(alg, bound)
+        for s, tail in gb._rules.by_lead.values():
+            assert type(s) is int and s > 0
+            assert all(type(t) is int for t in tail.values())
+            assert math.gcd(s, *tail.values()) == 1
+        assert all(type(c) is Fraction for g in gb.elements for c in g.terms.values())
         assert [g.terms for g in gb.elements] == free_reduced_basis(n, [r.terms for r in alg.relations], bound)
 
     def test_commutation_overlaps_need_a_homogeneous_element(self):
