@@ -224,12 +224,13 @@ def _handle_gb(spec, flags):
     algebra = flags.algebra or "gsca"
     pres, letter = _presentation_for(spec, algebra)
     gb = groebner(pres, _bound(spec, flags))
+    elements = [poly_str(g, letter) for g in gb.elements]
     evidence = {
         "algebra": algebra,
         "max_degree": gb.max_degree,
         "complete_through": gb.complete_through,
-        "elements": [poly_str(g, letter) for g in gb.elements],
-        "count": len(gb.elements),
+        "elements": elements,
+        "count": len(elements),
     }
     return {"groebner": "PASS"}, evidence, True
 

@@ -309,14 +309,16 @@ class GroebnerData:
         )
 
     def __repr__(self):
-        return f"GroebnerData(n={self.n}, elements={len(self.elements)}, complete_through={self.max_degree})"
+        return f"GroebnerData(n={self.n}, elements={len(self._rules.by_lead)}, complete_through={self.max_degree})"
 
 
-def _commutation_scalars(alg: PresentedAlgebra) -> Optional[List[List[Fraction]]]:
-    """mu with z_j z_l = mu[l][j] z_l z_j, when alg has a commutation relation for every pair; else None.
+def _commutation_columns(alg: PresentedAlgebra) -> Optional[List[Optional[Dict[int, int]]]]:
+    """The skew ring's scalars by letter, when alg has a commutation relation for every pair; else None.
 
-    A commutation relation is z_j z_i - q z_i z_j with j > i and q nonzero;
-    the first listed counts when a pair has several.
+    With z_j z_l = mu[l][j] z_l z_j, entry j is {l: mu[l][j] * D_j} with
+    D_j the lcm of the column's denominators, or None when every mu[l][j]
+    is 1.  A commutation relation is z_j z_i - q z_i z_j with j > i and q
+    nonzero; the first listed counts when a pair has several.
     """
     n = alg.n
     mu = [[Fraction(1)] * n for _ in range(n)]
@@ -332,7 +334,10 @@ def _commutation_scalars(alg: PresentedAlgebra) -> Optional[List[List[Fraction]]
         if q is not None:
             pairs.add(lw)
             mu[i][j], mu[j][i] = -q, -1 / q
-    return mu if len(pairs) == n * (n - 1) // 2 else None
+    if len(pairs) != n * (n - 1) // 2:
+        return None
+    columns = [{l: mu[l][j] for l in range(n)} for j in range(n)]
+    return [None if all(x == 1 for x in col.values()) else int_scaled(col)[1] for col in columns]
 
 
 class _Overlaps:
@@ -341,19 +346,21 @@ class _Overlaps:
     Leading words join once their degree is finished, indexed by length and
     proper prefix, so `pending(d)` finds each overlap u*b = a*v of total
     degree d from a suffix of u without pairing every two leading words.
-    `mu` is the skew ring's scalars when the presentation holds every
-    commutation relation (`_commutation_scalars`), else None.
+    `columns` is the skew ring's scalars by letter when the presentation
+    holds every commutation relation (`_commutation_columns`), else None.
+    Rules (iii) and (iv) of `groebner` ask whether z_j scales one element
+    as a whole; `_homogeneous` answers for one leading word and one letter
+    at a time, in ints, and at once for a letter whose scalars are all 1.
     """
 
-    __slots__ = ("rules", "mu", "finished", "starts", "_homogeneous", "_rows")
+    __slots__ = ("rules", "columns", "finished", "starts", "_scaled")
 
-    def __init__(self, rules: _LeadIndex, mu: Optional[List[List[Fraction]]]):
+    def __init__(self, rules: _LeadIndex, columns: Optional[List[Optional[Dict[int, int]]]]):
         self.rules = rules
-        self.mu = mu
+        self.columns = columns
         self.finished: List[Word] = []
         self.starts: Dict[tuple, List[Word]] = {}
-        self._homogeneous: Dict[Word, frozenset] = {}
-        self._rows: Dict[Word, tuple] = {(): tuple(Fraction(1) for _ in mu)} if mu is not None else {}
+        self._scaled: Dict[tuple, bool] = {}
 
     def finish(self, degree: int) -> None:
         """Index the leading words of a degree that is final."""
@@ -396,34 +403,61 @@ class _Overlaps:
                     break
                 if p + L > lu and w[p : p + L] in by_lead:
                     return True
-        if self.mu is None:
+        if self.columns is None:
             return False
         left = lu == 2 and u[0] > u[1]
         right = lv == 2 and v[0] > v[1]
         if left and right:
             return True  # (ii)
         if left:
-            return u[0] in self._letters(v)  # (iii)
+            return self._homogeneous(v, u[0])  # (iii)
         if right:
-            return u[0] > v[1] and v[1] in self._letters(u)  # (iv)
+            return u[0] >= v[1] and self._homogeneous(u, v[1])  # (iv)
         return False
 
-    def _letters(self, lw: Word) -> frozenset:
-        """Letters j with prod_{l in m} mu[l][j] one scalar over the words m of the element led by lw."""
-        found = self._homogeneous.get(lw)
+    def _homogeneous(self, lw: Word, j: int) -> bool:
+        """Whether prod_{l in m} mu[l][j] is one scalar over the words m of the element led by lw; memoized.
+
+        The element is homogeneous, so each product over the int column
+        is the scalar times the same power of its denominator.
+        """
+        col = self.columns[j]
+        if col is None:
+            return True
+        key = (lw, j)
+        found = self._scaled.get(key)
         if found is None:
-            words = (lw, *self.rules.by_lead[lw][1])
-            first, *rows = [self._row(c) for c in {tuple(sorted(m)) for m in words}]
-            found = frozenset(j for j in range(len(first)) if all(row[j] == first[j] for row in rows))
-            self._homogeneous[lw] = found
+            prod = math.prod
+            first = prod([col[l] for l in lw])
+            found = self._scaled[key] = all(prod([col[l] for l in m]) == first for m in self.rules.by_lead[lw][1])
         return found
 
-    def _row(self, content: Word) -> tuple:
-        """(prod_{l in content} mu[l][j] for each j), for a sorted word; memoized by prefix."""
-        row = self._rows.get(content)
-        if row is None:
-            row = self._rows[content] = tuple(a * b for a, b in zip(self._row(content[:-1]), self.mu[content[-1]]))
-        return row
+
+def _normal_word(rules: _LeadIndex, n: int, prev: Word) -> Optional[Word]:
+    """A word of degree len(prev) + 1 with no leading word as a subword, or None when there is none.
+
+    prev is such a word of one degree less.  prev extended by a letter is
+    tried first; failing that, a depth-first search over the normal words
+    returns the deglex-first one.
+    """
+    leads, lengths = rules.by_lead, rules.lengths
+
+    def extensions(w: Word) -> List[Word]:
+        # w is normal, so only suffixes ending at the new letter can hold a leading word
+        d = len(w) + 1
+        return [c for c in (w + (i,) for i in range(n)) if not any(d >= L and c[d - L :] in leads for L in lengths)]
+
+    grown = extensions(prev)
+    if grown:
+        return grown[0]
+    d = len(prev) + 1
+    stack: List[Word] = [()]
+    while stack:
+        w = stack.pop()
+        if len(w) == d:
+            return w
+        stack.extend(reversed(extensions(w)))
+    return None
 
 
 def groebner(alg: PresentedAlgebra, max_degree: int) -> GroebnerData:
@@ -438,6 +472,14 @@ def groebner(alg: PresentedAlgebra, max_degree: int) -> GroebnerData:
     holds a relation is not complete: its elements are the relations of that
     degree, reduced modulo all lower-degree elements, in reduced echelon
     form.
+
+    The loop stops after a degree d that has no normal word, i.e. when
+    every word of degree d holds a leading word.  Every word of a higher
+    degree then holds one in its first d letters, so every later relation
+    and S-polynomial reduces to zero and would adjoin nothing; the output
+    is the same, and `complete_through` stays max_degree.  The normal word
+    of each degree comes from `_normal_word`, which first extends the one of
+    the degree before by a letter.
 
     The loop runs on the primitive integer rows of `_LeadIndex` from start
     to finish, with no Fraction in it.  For rules f = (s_f, tail_f) and
@@ -465,7 +507,7 @@ def groebner(alg: PresentedAlgebra, max_degree: int) -> GroebnerData:
 
     (ii)-(iv) need the relations to include z_j z_i - q z_i z_j, q != 0,
     for every j > i, as every skew-ring quotient does; this is read off the
-    input (`_commutation_scalars`).  With z_j z_l = mu_lj z_l z_j, every
+    input (`_commutation_columns`).  With z_j z_l = mu_lj z_l z_j, every
     pair z_j z_i, j > i, is then a leading word of degree 2, the only
     leading words with a descent are these commutation words, and each
     commutation element is its relation plus degree-2 elements with
@@ -484,13 +526,20 @@ def groebner(alg: PresentedAlgebra, max_degree: int) -> GroebnerData:
     below W but the first step for m = v, which is f*b.  So f*b - z_j g is
     -s g z_j modulo terms below W, and v z_j < W since l < j.
 
-    (iv) v = z_l z_i is a commutation word, so W = u z_i, with u_1 > i and
-    f z_i-homogeneous.  u is sorted or a commutation word, so each of its
-    letters exceeds i, and moving z_i to the left through m z_i, for each
-    word m of f, passes only words below W but the first step for m = u,
-    which is a*g.  So the S-polynomial is a multiple of z_i f modulo terms
-    below W, and z_i u < W since i < u_1.  Without u_1 > i, z_i u lies
-    above W.
+    (iv) v = z_l z_i is a commutation word, so W = u z_i, with u_1 >= i
+    and f z_i-homogeneous.  u is not a commutation word (that is case
+    (ii)), so it is sorted: each of its letters is at least i, and the
+    last, l, exceeds i.  Moving z_i to the left through m z_i, for each
+    word m of f, steps through the words that insert z_i into m, by
+    commutation relations whose shifts are led by such words.  Inserting
+    z_i at one place into m <= u keeps the order, so the word is at most
+    u with z_i inserted there.  That is W when z_i comes last; otherwise
+    it is below W, smaller where z_i meets a letter of u above i, and
+    equal to z_i u where z_i joins the run of i's that starts u.  So all
+    steps lie below W but the first step for m = u, which is a*g, and the
+    S-polynomial is a multiple of z_i f modulo terms below W.  z_i u < W:
+    z_i u is sorted and W is not, as it ends in i after l > i.  With
+    u_1 < i, z_i u lies above W.
     """
     if max_degree < 2:
         raise ValueError("max_degree must be >= 2")
@@ -498,8 +547,10 @@ def groebner(alg: PresentedAlgebra, max_degree: int) -> GroebnerData:
     for r in alg.relations:
         by_degree.setdefault(len(r.lead_word()), []).append(r)
     rules = _LeadIndex()
-    overlaps = _Overlaps(rules, _commutation_scalars(alg))
-    for d in range(2, max([max_degree, *by_degree]) + 1):
+    overlaps = _Overlaps(rules, _commutation_columns(alg))
+    top = max([max_degree, *by_degree])
+    witness: Optional[Word] = (0,)  # z_1 is normal: no rule has degree 1
+    for d in range(2, top + 1):
         _interreduce(rules, by_degree.get(d, ()))
         if d <= max_degree:
             for a, (sf, tf), (sg, tg), b in overlaps.pending(d):
@@ -516,6 +567,10 @@ def groebner(alg: PresentedAlgebra, max_degree: int) -> GroebnerData:
                 if h:
                     _adjoin(rules, h)
             overlaps.finish(d)
+        if d < top:
+            witness = _normal_word(rules, alg.n, witness)
+            if witness is None:
+                break
     return GroebnerData(alg, max_degree, rules)
 
 

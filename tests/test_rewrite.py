@@ -126,7 +126,9 @@ def skew_quotients(draw):
 
     mu is all ones, random, or the twist mu_ij = lambda_j / lambda_i with
     lambdas drawn from three values, so some repeat; the forms are dense,
-    sparse or monomials on the ordered words z_i z_j, i <= j.
+    sparse or monomials on the ordered words z_i z_j, i <= j, or
+    z_i^2 + c z_i z_l with a repeated letter, whose leading word starts with
+    the letter it shares with a commutation word when l > i.
     """
     n = draw(st.integers(2, 3))
     kind = draw(st.sampled_from(("ones", "random", "twist")))
@@ -140,10 +142,13 @@ def skew_quotients(draw):
                 v = Fraction(lambdas[j], lambdas[i]) if kind == "twist" else Fraction(1)
             grid[i][j], grid[j][i] = v, 1 / v
     ordered = [(i, j) for i in range(n) for j in range(i, n)]
-    shape = draw(st.sampled_from(("dense", "sparse", "monomial")))
+    shape = draw(st.sampled_from(("dense", "sparse", "monomial", "square")))
     forms = []
     for _ in range(draw(st.integers(1, n))):
-        if shape == "dense":
+        if shape == "square":
+            i, l = draw(st.permutations(range(n)))[:2]
+            terms = {(i, i): 1, (min(i, l), max(i, l)): draw(COEFFS)}
+        elif shape == "dense":
             terms = {w: draw(st.sampled_from((Fraction(0), *COEFFS.elements))) for w in ordered}
         elif shape == "sparse":
             words = draw(st.lists(st.sampled_from(ordered), min_size=1, max_size=2, unique=True))
@@ -268,31 +273,62 @@ class TestGroebner:
 
     def test_reduction_count(self, monkeypatch):
         # One call per relation (15) and one per S-polynomial that is reduced
-        # (84): a nonzero remainder is adjoined without a second reduction,
+        # (63): a nonzero remainder is adjoined without a second reduction,
         # and a degree is final before the next starts.  Of the 225
-        # obstructions through degree 12, 141 are proved to resolve by the
-        # chain and commutation rules of `groebner`; a higher count means a
-        # rule stopped firing or some element is reduced again.  Before the
-        # rules the count was 256: 225 S-polynomials plus 15 relations and
-        # 16 nonzero remainders, each reduced twice.
+        # obstructions through degree 12, 162 are proved to resolve by the
+        # chain and commutation rules of `groebner` or lie above degree 6,
+        # the first with no normal word, where the loop stops; a higher count
+        # means a rule stopped firing or some element is reduced again.
+        # Against 99 calls with rule (iv) asking lead(f)_1 > i and no early
+        # stop: lead(f)_1 = i skips 16 more, and the stop skips the 5 of
+        # degree 7.  Before the rules the count was 256: 225 S-polynomials
+        # plus 15 relations and 16 nonzero remainders, each reduced twice.
         gb, calls = self._reductions(monkeypatch, triangular_gca_quotient(4, 5), 12)
         assert finite_dim_check(gb).dimension == 32
-        assert calls == 99
+        assert calls == 78
 
     def test_reduction_count_on_a_skew_quotient(self, monkeypatch):
         # A GSCA quotient with fractional mu, where some elements are not
-        # z_j-homogeneous: 10 relations and 44 of the 90 S-polynomials
-        # (108 calls before the rules, with 8 nonzero remainders reduced twice).
+        # z_j-homogeneous: 10 relations and 14 of the S-polynomials of
+        # degrees 2 and 3.  Degree 3 has no normal word, so the 30 reduced
+        # S-polynomials of degree 4 (6 of them also skipped by rule (iv) at
+        # lead(f)_1 = i) are not formed: 54 calls with neither, 108 before
+        # the rules, with 8 nonzero remainders reduced twice.
         gb, calls = self._reductions(monkeypatch, spec_quotient(HASHSEED_SPEC), 10)
         assert len(gb.elements) == 18 and finite_dim_check(gb).dimension == 11
-        assert calls == 54
+        assert calls == 24
 
-    @PROPERTY
-    @given(skew_quotients())
-    def test_skew_quotient_bases_match_the_free_algebra_rref(self, case):
-        n, alg, bound = case
-        gb = groebner(alg, bound)
-        assert [g.terms for g in gb.elements] == free_reduced_basis(n, [r.terms for r in alg.relations], bound)
+    def test_skew_quotient_bases_match_the_free_algebra_rref(self, monkeypatch):
+        # rule (iv) at lead(f)_1 = i and the stop after an empty degree must
+        # each skip work in some drawn case, or the oracle does not check them
+        fired = {"lead(f)_1 = i": 0, "early stop": 0}
+        homogeneous, pending = rewrite._Overlaps._homogeneous, rewrite._Overlaps.pending
+        degrees = []
+
+        def homogeneous_spy(overlaps, lw, j):
+            found = homogeneous(overlaps, lw, j)
+            # rule (iii) asks about lead(g) for a larger letter than lead(g)_1
+            fired["lead(f)_1 = i"] += found and lw[0] == j
+            return found
+
+        def pending_spy(overlaps, degree):
+            degrees.append(degree)
+            return pending(overlaps, degree)
+
+        monkeypatch.setattr(rewrite._Overlaps, "_homogeneous", homogeneous_spy)
+        monkeypatch.setattr(rewrite._Overlaps, "pending", pending_spy)
+
+        @PROPERTY
+        @given(skew_quotients())
+        def check(case):
+            n, alg, bound = case
+            degrees.clear()
+            gb = groebner(alg, bound)
+            fired["early stop"] += max(degrees) < bound
+            assert [g.terms for g in gb.elements] == free_reduced_basis(n, [r.terms for r in alg.relations], bound)
+
+        check()
+        assert all(fired.values()), fired
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(
@@ -337,14 +373,67 @@ class TestGroebner:
         assert [g.terms for g in gb.elements] == free_reduced_basis(3, [r.terms for r in alg.relations], 4)
 
     def test_right_overlaps_need_a_larger_first_letter(self):
-        # lead(g) = z1*z3 ends in z3 > z2, but its first letter is below z2,
-        # so z2 * lead(g) lies above the overlap word z1*z3*z2 and the
-        # overlap must be reduced although every element is homogeneous
+        # rule (iv) needs lead(f)'s first letter not below i: lead(f) = z1*z3
+        # ends in z3 > z2 but starts below z2, so z2 * lead(f) lies above the
+        # overlap word z1*z3*z2 and the overlap must be reduced although
+        # every element is homogeneous
         alg = sk.build_skew_ring(sk.MuMatrix.ones(3)).with_relations(
             [NcPoly({(0, 2): 1}), NcPoly({(0, 0): 1, (1, 1): 1})]
         )
         gb = groebner(alg, 5)
         assert [g.terms for g in gb.elements] == free_reduced_basis(3, [r.terms for r in alg.relations], 5)
+
+    FIRST_LETTER_I = NcPoly({(0, 2): 1, (0, 0): 1})
+
+    def test_right_overlaps_at_a_first_letter_equal_to_i(self):
+        # lead(f) = z1*z3 starts with the z1 of lead(g) = z3*z1.  With
+        # mu_ij = 2 for i < j but mu_13 = 1, f = z1*z3 + z1^2 is
+        # z1-homogeneous (mu_11 mu_31 = mu_11^2 = 1), though z1's scalars
+        # are not all 1, so rule (iv) skips the overlap at z1*z3*z1
+        grid = [[1, 2, 1], [Fraction(1, 2), 1, 2], [1, Fraction(1, 2), 1]]
+        alg = sk.build_skew_ring(sk.validate_mu(grid)).with_relations([self.FIRST_LETTER_I])
+        gb = groebner(alg, 5)
+        assert [g.terms for g in gb.elements] == free_reduced_basis(3, [r.terms for r in alg.relations], 5)
+        overlaps = rewrite._Overlaps(gb._rules, rewrite._commutation_columns(alg))
+        assert overlaps._resolves((0, 2, 0), (0, 2), (2, 0))
+
+    def test_right_overlaps_at_a_first_letter_equal_to_i_need_a_homogeneous_element(self, monkeypatch):
+        # With mu_13 = 2, z1^2 and z1*z3 scale differently under z1, so the
+        # overlap at z1*z3*z1 must be reduced; skipping it regardless gives
+        # 8 elements through degree 5 instead of 9, and dimension 6 in degree 3
+        grid = [[1, 2, 2], [Fraction(1, 2), 1, 2], [Fraction(1, 2), Fraction(1, 2), 1]]
+        alg = sk.build_skew_ring(sk.validate_mu(grid)).with_relations([self.FIRST_LETTER_I])
+        oracle = free_reduced_basis(3, [r.terms for r in alg.relations], 5)
+        gb = groebner(alg, 5)
+        assert [g.terms for g in gb.elements] == oracle and len(oracle) == 9
+        assert hilbert_coeffs(gb, 5) == [1, 3, 5, 5, 6, 7]
+        homogeneous = rewrite._Overlaps._homogeneous
+        monkeypatch.setattr(
+            rewrite._Overlaps, "_homogeneous", lambda overlaps, lw, j: lw[0] == j or homogeneous(overlaps, lw, j)
+        )
+        skipped = groebner(alg, 5)
+        assert len(skipped.elements) == 8 and hilbert_coeffs(skipped, 5)[3] == 6
+
+    def test_finite_quotient_stops_at_its_first_empty_degree(self, monkeypatch):
+        # dimensions 1, 3, 3, 1, 0: nothing is reduced above degree 4, yet
+        # the basis is complete through the bound and equals the one at 5
+        alg = triangular_gca_quotient(4, 3)
+        degrees = []
+        reduce = rewrite._reduce
+
+        def spy(rules, den, terms):
+            degrees.extend(len(w) for w in terms)
+            return reduce(rules, den, terms)
+
+        monkeypatch.setattr(rewrite, "_reduce", spy)
+        gb = groebner(alg, 40)
+        assert max(degrees) == 4
+        assert gb.complete_through == 40
+        assert not normal_form(NcPoly.word((2, 1, 0) * 13 + (1,)), gb)
+        monkeypatch.undo()
+        assert gb.elements == groebner(alg, 5).elements
+        assert [g.terms for g in gb.elements] == free_reduced_basis(3, [r.terms for r in alg.relations], 5)
+        assert hilbert_coeffs(gb, 5) == [1, 3, 3, 1, 0, 0]
 
     def test_one_lead_index_per_call(self, monkeypatch):
         # the index groebner builds is the one GroebnerData keeps and
