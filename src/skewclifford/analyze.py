@@ -173,13 +173,23 @@ class LocusReport:
     points: Tuple[PointVerdict, ...]
 
 
+# the most points `default_grid` lists: (2R + 1)^m - 1 grows too fast to
+# check at every point once m or R is large
+GRID_POINT_CAP = 100_000
+
+
 def default_grid(m: int, radius: int = 2) -> List[Tuple[Fraction, ...]]:
     """All parameter tuples with entries in -radius..radius, zero tuple excluded.
 
-    A radius below 1 would leave no point to check, so it is rejected.
+    A radius below 1 would leave no point to check, and a grid of more than
+    GRID_POINT_CAP points would not finish, so both are rejected before any
+    point is built.
     """
     if radius < 1:
         raise ValueError(f"grid radius must be at least 1, got {radius}")
+    count = (2 * radius + 1) ** m - 1
+    if count > GRID_POINT_CAP:
+        raise ValueError(f"a grid of radius {radius} in {m} parameters has {count} points, above the cap of {GRID_POINT_CAP}")
     values = [Fraction(v) for v in range(-radius, radius + 1)]
     return [pt for pt in itertools.product(values, repeat=m) if any(pt)]
 

@@ -112,10 +112,15 @@ class _LeadIndex:
         s, tail = self.by_lead[lw]
         return NcPoly._make({lw: Fraction(1), **{w: Fraction(-t, s) for w, t in tail.items()}})
 
-    def match(self, w: Word):
-        """(position, length, (s, tail)) of the leftmost, smallest rule matching w, or None."""
+    def match(self, w: Word, longest: Optional[int] = None):
+        """(position, length, (s, tail)) of the leftmost, smallest rule matching w, or None.
+
+        With longest given, only leading words of at most that length count.
+        """
         get = self.by_lead.get
         lengths = self.lengths
+        if longest is not None:
+            lengths = lengths[: bisect.bisect_right(lengths, longest)]
         n = len(w)
         if not lengths:
             return None
@@ -151,6 +156,13 @@ def _reduce(rules: _LeadIndex, den: int, terms: Dict[Word, int]) -> Tuple[int, D
     The arithmetic is fraction-free: rewriting c*w by a rule (s, tail) adds
     (c/g)*t for each tail entry t, where g = gcd(c, s), after every live
     and finished numerator and den are multiplied by s/g.
+
+    The rewrite of a word depends on the word alone, and a word leaves the
+    heap only once every larger word has, with all its coefficient
+    gathered.  So the remainder is linear in terms: sum c * NF(w), where
+    NF(w) is w for an irreducible word and NF of its rewrite otherwise.
+    This is the kernel of `reduce_poly` and `normal_form`; `groebner`
+    computes the same NF from memoized rows instead (`_DegreeStep`).
     """
     match = rules.match
     gcd = math.gcd
@@ -252,16 +264,139 @@ def _adjoin(rules: _LeadIndex, h: Dict[Word, int]) -> None:
     rules.add(lw, (s, tail))
 
 
-def _interreduce(rules: _LeadIndex, polys: Sequence[NcPoly]) -> None:
-    """Adjoin polys of one degree d to rules that are inter-reduced and final below d.
+def _row_sum(parts, rows: Dict[Word, tuple]) -> Tuple[int, Dict[Word, int]]:
+    """(m, acc) with acc / m = sum(t * rows[w] for w, t in parts), m the lcm of the rows' denominators.
 
-    Each p is reduced modulo the rules by `_reduce` and, if nonzero,
-    adjoined by `_adjoin`.
+    Each rows[w] is a row (den_w, row_w) standing for row_w / den_w.
+    """
+    gcd = math.gcd
+    m = 1
+    for w, _ in parts:
+        dw = rows[w][0]
+        if dw != 1:
+            m = m // gcd(m, dw) * dw
+    acc: Dict[Word, int] = {}
+    for w, t in parts:
+        dw, row = rows[w]
+        k = t * (m // dw)
+        for v, c in row.items():
+            e = acc.get(v, 0) + k * c
+            if e:
+                acc[v] = e
+            else:
+                del acc[v]
+    return m, acc
+
+
+class _DegreeStep:
+    """Reduction of the polynomials of one degree d modulo rules final below d.
+
+    `rows` memoizes, for each degree-d word met, its primitive row
+    (den, row): the word's normal form modulo the rules of degree < d is
+    sum(c * v for v, c in row.items()) / den, with den > 0 and
+    gcd(den, *row) = 1.  The rules of lower degree stay fixed while degree
+    d runs, since `_adjoin` only rewrites rules of the degree it adjoins
+    to, so a row once filled stays valid until the degree ends and the
+    step is dropped.
+
+    A row is filled by `_LeadIndex.match` capped at length d - 1, so each
+    word takes the rewrite `_reduce` would give it: a reducible word holds
+    no leading word of degree d, since those are irreducible modulo the
+    lower rules, so its leftmost, smallest match has length < d.  The
+    rewrite replaces the word by smaller words of the same degree, whose
+    rows come first; an explicit stack stands in for the recursion.
+    """
+
+    __slots__ = ("rules", "degree", "rows")
+
+    def __init__(self, rules: _LeadIndex, degree: int):
+        self.rules = rules
+        self.degree = degree
+        self.rows: Dict[Word, tuple] = {}
+
+    def _fill(self, words: List[Word]) -> None:
+        """Memoize the rows of words and of every word their rewrites reach."""
+        rows = self.rows
+        match = self.rules.match
+        longest = self.degree - 1
+        gcd = math.gcd
+        # (word, None) asks for the word's row; (word, (s, parts)) sums the
+        # rows of its rewrite, sum(t * y for y, t in parts) / s, once the
+        # entries pushed above it have filled them
+        stack = [(w, None) for w in words]
+        while stack:
+            x, rewrite = stack.pop()
+            if rewrite is None:
+                if x in rows:
+                    continue  # filled since it was queued
+                hit = match(x, longest)
+                if hit is None:
+                    rows[x] = (1, {x: 1})
+                    continue
+                pos, L, (scale, tail) = hit
+                left, right = x[:pos], x[pos + L :]
+                rewrite = (scale, [(left + tw + right, t) for tw, t in tail.items()])
+                stack.append((x, rewrite))
+                stack.extend([(y, None) for y, _ in rewrite[1] if y not in rows])
+                continue
+            m, acc = _row_sum(rewrite[1], rows)
+            den = rewrite[0] * m
+            g = gcd(den, *acc.values())
+            if g != 1:
+                den //= g
+                acc = {v: c // g for v, c in acc.items()}
+            rows[x] = (den, acc)
+
+    def reduce(self, terms: Dict[Word, int]) -> Dict[Word, int]:
+        """A positive multiple of `_reduce`'s remainder of terms, its words in decreasing order.
+
+        The sum of memoized rows is the normal form modulo the rules of
+        degree < d.  Its words hold no lower leading word, and a word of
+        degree d holds one of degree d only by being it, so one pass that
+        substitutes the degree-d rules finishes it: their tails hold no
+        leading word.  Both this and `_reduce` apply the linear map NF,
+        and every word takes the same rewrite in each, so the remainders
+        agree up to their denominators.
+        """
+        lengths = self.rules.lengths
+        if lengths and lengths[0] < self.degree:
+            rows = self.rows
+            missing = [w for w in terms if w not in rows]
+            if missing:
+                self._fill(missing)
+            acc = _row_sum(terms.items(), rows)[1]
+        else:
+            acc = dict(terms)  # no rule is shorter than d: every row is its word
+        by_lead = self.rules.by_lead
+        gcd = math.gcd
+        for lw in [w for w in acc if w in by_lead]:
+            c = acc.pop(lw)
+            scale, tail = by_lead[lw]
+            if scale != 1:
+                g = gcd(c, scale)
+                k = scale // g
+                if k != 1:
+                    for w in acc:
+                        acc[w] *= k
+                c //= g
+            for w, t in tail.items():
+                e = acc.get(w, 0) + c * t
+                if e:
+                    acc[w] = e
+                else:
+                    del acc[w]
+        return {w: acc[w] for w in sorted(acc, reverse=True)}
+
+
+def _interreduce(step: _DegreeStep, polys: Sequence[NcPoly]) -> None:
+    """Adjoin polys of the step's degree d to its rules, which are inter-reduced and final below d.
+
+    Each p is reduced by the step and, if nonzero, adjoined by `_adjoin`.
     """
     for p in polys:
-        h = _reduce(rules, *int_scaled(p.terms))[1]
+        h = step.reduce(int_scaled(p.terms)[1])
         if h:
-            _adjoin(rules, h)
+            _adjoin(step.rules, h)
 
 
 class GroebnerData:
@@ -484,12 +619,20 @@ def groebner(alg: PresentedAlgebra, max_degree: int) -> GroebnerData:
     The loop runs on the primitive integer rows of `_LeadIndex` from start
     to finish, with no Fraction in it.  For rules f = (s_f, tail_f) and
     g = (s_g, tail_g), s_f * s_g * (f*b - a*g) is s_f * a*tail_g -
-    s_g * tail_f*b, as the leading words cancel; the one kernel `_reduce`
-    reduces it in ints, and only whether the remainder is zero and its
-    direction matter, so its denominator is dropped.  `_adjoin` makes a
+    s_g * tail_f*b, as the leading words cancel.  Each degree d reduces
+    its relations and S-polynomials through one `_DegreeStep`, dropped when
+    the degree ends.  Its memo holds each degree-d word's normal form
+    modulo the rules of degree < d; those rules are final, so the memo
+    stays valid for the whole degree, and each word is rewritten once
+    however many polynomials hold it.  A polynomial is then a sum of memo
+    rows with the degree-d rules substituted in one pass.  The rewrite of
+    a word depends only on the word, so this is the linear map `_reduce`
+    applies, and the remainders agree up to a scalar; only whether a
+    remainder is zero and its direction matter.  `_adjoin` makes a
     nonzero remainder primitive and substitutes it into the rules of its
-    own degree alone.  Polynomials are built from the rows only when
-    `GroebnerData.elements` is read.
+    own degree alone, so every adjoined rule, and the elements above
+    max_degree, are those `_reduce` would give.  Polynomials are built
+    from the rows only when `GroebnerData.elements` is read.
 
     An obstruction a*lead(g) = lead(f)*b at the word W, with u = lead(f)
     and v = lead(g), need not be reduced when f*b - a*g is a combination of
@@ -551,7 +694,8 @@ def groebner(alg: PresentedAlgebra, max_degree: int) -> GroebnerData:
     top = max([max_degree, *by_degree])
     witness: Optional[Word] = (0,)  # z_1 is normal: no rule has degree 1
     for d in range(2, top + 1):
-        _interreduce(rules, by_degree.get(d, ()))
+        step = _DegreeStep(rules, d)
+        _interreduce(step, by_degree.get(d, ()))
         if d <= max_degree:
             for a, (sf, tf), (sg, tg), b in overlaps.pending(d):
                 # s_f * s_g * (f*b - a*g): the leading words cancel
@@ -563,7 +707,7 @@ def groebner(alg: PresentedAlgebra, max_degree: int) -> GroebnerData:
                         terms[w] = c
                     else:
                         del terms[w]
-                h = _reduce(rules, 1, terms)[1]
+                h = step.reduce(terms)
                 if h:
                     _adjoin(rules, h)
             overlaps.finish(d)

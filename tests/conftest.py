@@ -2,8 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 import skewclifford as sk
+
+# every property draws the same examples on every run, with no time limit;
+# a test sets only its max_examples
+settings.register_profile("derandomized", deadline=None, derandomize=True, database=None)
+settings.load_profile("derandomized")
 
 NONZERO_SMALL = [
     Fraction(1),

@@ -12,6 +12,7 @@ import skewclifford as sk
 import skewclifford.analyze as analyze_module
 import skewclifford.rewrite as rewrite_module
 from skewclifford.analyze import (
+    GRID_POINT_CAP,
     build_r_elements,
     default_grid,
     is_central,
@@ -261,6 +262,15 @@ class TestNormalLocus:
         with pytest.raises(ValueError, match="radius"):
             default_grid(2, radius)
 
+    def test_default_grid_counts_its_points_before_listing_them(self, monkeypatch):
+        # 5^16 - 1 tuples would never be listed: the count is refused first
+        def no_product(*args, **kwargs):
+            raise AssertionError("a grid point was built")
+
+        monkeypatch.setattr(analyze_module.itertools, "product", no_product)
+        with pytest.raises(ValueError, match=f"152587890624 points, above the cap of {GRID_POINT_CAP}"):
+            default_grid(16, 2)
+
     def test_rows_come_from_the_products_not_the_word_basis(self, ex21, monkeypatch):
         # count degree_basis at every binding a caller could reach it by
         calls = []
@@ -410,7 +420,7 @@ class TestLocusColumnTest:
     def test_column_test_is_sound(self, monkeypatch):
         seen = set()
 
-        @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+        @settings(max_examples=25)
         @given(
             st.sampled_from(self.SOUNDNESS_SHAPES),
             st.integers(0, 50),

@@ -151,6 +151,16 @@ class TestMain:
         captured = capsys.readouterr()
         assert "--grid" in captured.err and captured.out == ""
 
+    def test_grid_above_the_point_cap_is_an_error(self, tmp_path, capsys):
+        # n = 16 at the default radius 2 would list 5^16 - 1 points
+        n = 16
+        spec = {"n": n, "kind": "gca", "forms": [_grid(n, {(k, k): "1"}) for k in range(n)]}
+        path = tmp_path / "diag16.json"
+        path.write_text(json.dumps(spec))
+        assert main(["normal-locus", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "--grid: " in captured.err and "152587890624 points" in captured.err and captured.out == ""
+
     def test_exit_codes(self, capsys):
         ex = fixture_path("example21.json")
         assert main(["regular", ex, "--max-deg", "7"]) == 0

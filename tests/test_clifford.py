@@ -458,7 +458,7 @@ class TestNormalInSkewRing:
         assert not sk.normalizing_check(sk.QuadricSystem(mu, (q,)), 3).found
 
     def test_accepted_forms_are_normal_after_every_prefix(self):
-        @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+        @settings(max_examples=60)
         @given(quadric_systems())
         def check(system):
             m = len(system.forms)
@@ -483,7 +483,7 @@ class TestNormalInSkewRing:
                     return True, order, searched
             return False, None, len(orders)
 
-        @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+        @settings(max_examples=60)
         @given(quadric_systems(), st.sampled_from((3, 4)))
         def check(system, max_degree):
             verdict = sk.normalizing_check(system, max_degree)

@@ -110,7 +110,7 @@ def tagged_echelon(rows):
 
 
 # derandomized and without an example database, so runs repeat exactly
-PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+PROPERTY = settings(max_examples=150)
 
 
 class TestEchelon:

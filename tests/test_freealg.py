@@ -117,7 +117,7 @@ class TestApplyLinear:
         with pytest.raises(ValueError, match="singular map"):
             LinearMap.from_rows([[1, 2], [2, 4]]).inverse()
 
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=150)
     @given(square_matrices())
     def test_inverse_composes_to_the_identity(self, rows):
         phi = LinearMap.from_rows(rows)

@@ -26,9 +26,9 @@ from skewclifford.rewrite import (
 )
 
 from conftest import HASHSEED_SPEC, example21_matrices, example21_mu, spec_quotient
-from oracles import free_quotient_dims, free_reduced_basis, naive_reduce, skew_quotient_dims
+from oracles import free_quotient_dims, free_reduced_basis, naive_reduce, skew_quotient_dims, sparse_rref
 
-PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+PROPERTY = settings(max_examples=200)
 COEFFS = st.sampled_from([Fraction(v) for v in (1, 2, 3, -1, -2, Fraction(1, 2), Fraction(-2, 3))])
 # large, coprime denominators, so most rewrites rescale the running denominator
 COPRIME = st.sampled_from(
@@ -107,6 +107,21 @@ def presentations(draw, coeffs=COEFFS):
         deg = draw(st.sampled_from((2, 2, 3)))
         rels.append(draw(_polys(n, deg, deg, 3, min_terms=1, coeffs=coeffs)))
     return n, rels, 5 if n == 2 else 4
+
+
+@st.composite
+def presentations_above_the_bound(draw):
+    """(n, relations, bound): quadrics and cubics up to the bound 2 or 3, and relations of the two degrees above it."""
+    n = draw(st.integers(2, 3))
+    bound = draw(st.integers(2, 3))
+    rels = []
+    for _ in range(draw(st.integers(1, 3))):
+        deg = draw(st.integers(2, bound))
+        rels.append(draw(_polys(n, deg, deg, 3, min_terms=1)))
+    for _ in range(draw(st.integers(1, 4))):
+        deg = draw(st.integers(bound + 1, bound + 2))
+        rels.append(draw(_polys(n, deg, deg, 3, min_terms=1)))
+    return n, rels, bound
 
 
 @st.composite
@@ -237,7 +252,7 @@ class TestGroebner:
         assert groebner(PresentedAlgebra(n, changed), bound).elements == base.elements
 
     # fewer examples than PROPERTY: the oracle lists every word of each degree
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=60)
     @given(presentations_with_shared_leads())
     def test_elements_match_the_free_algebra_rref(self, case):
         n, rels, bound = case
@@ -259,16 +274,41 @@ class TestGroebner:
         )
         assert gb.complete_through == 3
 
+    def test_degrees_above_the_bound_match_the_oracle(self):
+        # Above the bound a degree's elements are its relations reduced
+        # modulo every lower element, by the package's strategy, in reduced
+        # echelon form; the oracle reduces by that strategy without an index
+        # or a memo, and eliminates on its own
+        reduced = []
+
+        @settings(max_examples=100)
+        @given(presentations_above_the_bound())
+        def check(case):
+            n, rels, bound = case
+            alg = PresentedAlgebra(n, rels)
+            elements = groebner(alg, bound).elements
+            for d in sorted({len(r.lead_word()) for r in alg.relations} - set(range(bound + 1))):
+                lower = [g for g in elements if len(g.lead_word()) < d]
+                given_d = [r for r in alg.relations if len(r.lead_word()) == d]
+                remainders = [naive_reduce(r, lower) for r in given_d]
+                oracle = sparse_rref([h.terms for h in remainders])
+                assert [g.terms for g in elements if len(g.lead_word()) == d] == [oracle[w] for w in sorted(oracle)]
+                reduced.append(remainders != given_d)
+
+        check()
+        # some drawn relation above the bound is changed by the lower elements
+        assert any(reduced)
+
     @staticmethod
     def _reductions(monkeypatch, alg, bound):
         calls = []
-        counted = rewrite._reduce
+        counted = rewrite._DegreeStep.reduce
 
-        def count(*args):
+        def count(step, terms):
             calls.append(1)
-            return counted(*args)
+            return counted(step, terms)
 
-        monkeypatch.setattr(rewrite, "_reduce", count)
+        monkeypatch.setattr(rewrite._DegreeStep, "reduce", count)
         return groebner(alg, bound), len(calls)
 
     def test_reduction_count(self, monkeypatch):
@@ -286,6 +326,26 @@ class TestGroebner:
         gb, calls = self._reductions(monkeypatch, triangular_gca_quotient(4, 5), 12)
         assert finite_dim_check(gb).dimension == 32
         assert calls == 78
+
+    def test_lower_degree_rewrites_are_memoized(self, monkeypatch):
+        # Each degree rewrites a word modulo the lower degrees once, when its
+        # row is first needed: 181 rewrite steps for the 78 reductions above,
+        # against 1,191 when each reduction rewrote its words afresh with
+        # `_reduce`.  A higher count means rows are filled again, or filled
+        # for words no reduction reaches.
+        steps = []
+        match = rewrite._LeadIndex.match
+
+        def spy(rules, w, longest=None):
+            hit = match(rules, w, longest)
+            assert longest is not None  # the degree loop rewrites only below its degree
+            steps.append(hit is not None)
+            return hit
+
+        monkeypatch.setattr(rewrite._LeadIndex, "match", spy)
+        gb = groebner(triangular_gca_quotient(4, 5), 12)
+        assert finite_dim_check(gb).dimension == 32
+        assert sum(steps) == 181
 
     def test_reduction_count_on_a_skew_quotient(self, monkeypatch):
         # A GSCA quotient with fractional mu, where some elements are not
@@ -330,7 +390,7 @@ class TestGroebner:
         check()
         assert all(fired.values()), fired
 
-    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=100)
     @given(
         st.one_of(
             skew_quotients(),
@@ -419,13 +479,13 @@ class TestGroebner:
         # the basis is complete through the bound and equals the one at 5
         alg = triangular_gca_quotient(4, 3)
         degrees = []
-        reduce = rewrite._reduce
+        reduce = rewrite._DegreeStep.reduce
 
-        def spy(rules, den, terms):
+        def spy(step, terms):
             degrees.extend(len(w) for w in terms)
-            return reduce(rules, den, terms)
+            return reduce(step, terms)
 
-        monkeypatch.setattr(rewrite, "_reduce", spy)
+        monkeypatch.setattr(rewrite._DegreeStep, "reduce", spy)
         gb = groebner(alg, 40)
         assert max(degrees) == 4
         assert gb.complete_through == 40

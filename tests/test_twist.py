@@ -186,7 +186,7 @@ class TestRelationSpanEqual:
     def test_matches_the_rank_oracle(self):
         seen = set()
 
-        @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+        @settings(max_examples=200)
         @given(relation_span_pairs())
         def check(case):
             n, a, b = case
