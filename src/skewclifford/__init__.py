@@ -26,7 +26,6 @@ from .clifford import (
     build_gsca,
     build_skew_ring,
     check_mu_symmetric,
-    matrix_of_form,
     normalizing_check,
     quadratic_form_of,
     quadric_system_of,
@@ -34,7 +33,7 @@ from .clifford import (
     validate_mu,
 )
 from .exact import ExactMatrix, ParamPoly, parametric_minors, parse_scalar, rank, scalar_str, solve_in_span
-from .freealg import LinearMap, NcPoly, apply_linear, compare_deglex, nc_mul, parse_poly, poly_str
+from .freealg import LinearMap, NcPoly, apply_linear, parse_poly, poly_str
 from .rewrite import (
     DegreeBoundError,
     FiniteDimVerdict,

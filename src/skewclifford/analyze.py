@@ -216,7 +216,9 @@ def normal_locus_in_span(
 
     One `Echelon` per side of its s columns decides whole families.  When
     the augmented column lies in the span of the columns, the family is
-    contained at every point and every minor is zero; when the columns
+    contained at every point and every minor is zero.  An augmented column
+    equal to the family's own column g is such a case, and a side made only
+    of those builds no echelon at all.  When the columns
     alone are dependent, every minor is zero.  Only the remaining families
     are expanded.  A point without a certificate is normal exactly when
     every family not contained everywhere is contained there, which one
@@ -248,21 +250,32 @@ def normal_locus_in_span(
             raise ValueError("side basis elements must be nonzero and homogeneous")
     variables = tuple(f"c{k + 1}" for k in range(m))
     # side[h] * a and a * side[h]: the right family's columns and the left
-    # family's augmented columns, and the other way round
-    side_a = [_flatten([normal_form(h * g, gb) for g in gens]) for h in side]
-    a_side = [_flatten([normal_form(g * h, gb) for g in gens]) for h in side]
+    # family's augmented columns, and the other way round.  products[h][k] is
+    # NF(side[h] * gens[k]); when the span is the side, NF(gens[k] * side[h])
+    # is products[k][h], so each product is normal-formed once.
+    products = [[normal_form(h * g, gb) for g in gens] for h in side]
+    side_a = [_flatten(row) for row in products]
+    if gens == side:
+        a_side = [_flatten([products[k][h] for k in range(m)]) for h in range(s)]
+    else:
+        a_side = [_flatten([normal_form(g * h, gb) for g in gens]) for h in side]
     units = [tuple(1 if t == k else 0 for t in range(m)) for k in range(m)]
     zero = ParamPoly._make(variables, {})
 
     minors: List[MinorRecord] = []
     open_sides = []  # (columns, augmented columns, families not contained everywhere) per side
     for side_name, col_flats, aug_flats in (("left", a_side, side_a), ("right", side_a, a_side)):
+        # a family whose aug equals its own column g is contained at every
+        # point, and every minor is zero; a side without another family
+        # needs no echelon (every family of a central span is such a family)
+        differing = [g for g in range(s) if aug_flats[g] != col_flats[g]]
+        if not differing:
+            continue
         columns = Echelon()
         for flat in col_flats:
             columns.add(flat)
-        # a family whose aug reduces to zero has aug = sum lambda_h col_h:
-        # it is contained at every point, and every minor is zero
-        open_g = [g for g in range(s) if columns.reduce(aug_flats[g])]
+        # so is a family whose aug reduces to zero: aug = sum lambda_h col_h
+        open_g = [g for g in differing if columns.reduce(aug_flats[g])]
         if open_g:
             open_sides.append((col_flats, aug_flats, open_g))
         if len(columns) < s:

@@ -205,21 +205,6 @@ def quadratic_form_of(m: MuSymmetricMatrix) -> QuadraticForm:
     return QuadraticForm(n, coeffs)
 
 
-def matrix_of_form(q: QuadraticForm, mu: MuMatrix) -> MuSymmetricMatrix:
-    """Inverse of quadratic_form_of (2 is invertible, so halving is exact)."""
-    if q.n != mu.n:
-        raise ValueError("form size does not match mu")
-    n = mu.n
-    grid = [[Fraction(0)] * n for _ in range(n)]
-    for (i, j), c in q.coeffs.items():
-        if i == j:
-            grid[i][i] = c
-        else:
-            grid[i][j] = c / 2
-            grid[j][i] = mu[j, i] * c / 2
-    return MuSymmetricMatrix(mu, grid)
-
-
 def build_skew_ring(mu: MuMatrix) -> PresentedAlgebra:
     """The ambient skew ring: relations z_j z_i - mu_ij z_i z_j for i < j."""
     relations = []

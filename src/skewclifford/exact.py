@@ -48,16 +48,22 @@ def join_terms(parts: Iterable[Tuple[Fraction, str]]) -> str:
     """Render (coefficient, monomial) pairs as "m1 - 2*m2 + 1/2"; an empty monomial is a constant, no pairs is "0"."""
     pieces = []
     for c, mono in parts:
+        num, den = c.numerator, c.denominator
+        negative = num < 0
+        if negative:
+            num = -num
+        # the text of |c| as `scalar_str` writes it
+        scalar = f"{num}/{den}" if den != 1 else str(num)
         if not mono:
-            body = scalar_str(abs(c))
-        elif abs(c) == 1:
+            body = scalar
+        elif num == 1 and den == 1:
             body = mono
         else:
-            body = f"{scalar_str(abs(c))}*{mono}"
+            body = f"{scalar}*{mono}"
         if pieces:
-            pieces.append(f"{'-' if c < 0 else '+'} {body}")
+            pieces.append(f"- {body}" if negative else f"+ {body}")
         else:
-            pieces.append(f"-{body}" if c < 0 else body)
+            pieces.append(f"-{body}" if negative else body)
     return " ".join(pieces) if pieces else "0"
 
 
@@ -232,12 +238,6 @@ class ExactMatrix:
     def row(self, i) -> tuple:
         return self.entries[i]
 
-    def specialize(self, values: Sequence) -> "ExactMatrix":
-        """Evaluate a ParamPoly matrix at numeric parameter values."""
-        return ExactMatrix(
-            [[e.evaluate(values) if isinstance(e, ParamPoly) else Fraction(e) for e in row] for row in self.entries]
-        )
-
     def __repr__(self):
         return f"ExactMatrix({self.rows}x{self.cols})"
 
@@ -407,25 +407,35 @@ class _MinorTable:
 
     Each row is lifted once and scaled by the lcm of its coefficients'
     denominators, so every cell is a polynomial with int coefficients.
+    Monomials are packed into one int each, exponent e_i weighted by
+    base**i: no minor of order k raises a variable above k times the
+    largest exponent in any cell, so with base = order * that + 1 a digit
+    never carries and a product of monomials is a sum of their keys.
     det(rows, cols) expands along the last chosen column, and the
     (k-1)-minors it needs are memoized on (rows, cols), so row and column
     subsets share them.  Scaling row r by s_r scales any minor on r by
     s_r, so `minor` divides by the product of its rows' scales.
     """
 
-    __slots__ = ("variables", "cells", "scales", "_memo")
+    __slots__ = ("variables", "cells", "scales", "_memo", "_base", "_exponents")
 
-    def __init__(self, entries, variables):
+    def __init__(self, entries, variables, order):
         self.variables = variables
+        lifted = [[_lift(e, variables).terms for e in row] for row in entries]
+        top = max((x for row in lifted for terms in row for exp in terms for x in exp), default=0)
+        self._base = base = order * top + 1
+        weights = [base**i for i in range(len(variables))]
         self.cells = []
         self.scales = []
-        for row in entries:
-            lifted = [_lift(e, variables).terms for e in row]
+        for row in lifted:
             # `int_scaled` over every cell of the row (a list, not a generator: see there)
-            scale = math.lcm(*[c.denominator for terms in lifted for c in terms.values()])
-            self.cells.append([{e: c.numerator * (scale // c.denominator) for e, c in t.items()} for t in lifted])
+            scale = math.lcm(*[c.denominator for terms in row for c in terms.values()])
+            self.cells.append(
+                [{sum(map(operator.mul, e, weights)): c.numerator * (scale // c.denominator) for e, c in t.items()} for t in row]
+            )
             self.scales.append(scale)
         self._memo: Dict = {}
+        self._exponents: Dict[int, tuple] = {}
 
     def _expand(self, rows: tuple, cols: tuple) -> Dict:
         """Integer det of the scaled rows on cols, by Laplace expansion along cols[-1]."""
@@ -437,15 +447,15 @@ class _MinorTable:
                 continue
             sub = self._subminor(rows[:i] + rows[i + 1 :], rest)
             sign = -1 if (i + len(rows) - 1) % 2 else 1
-            for e1, c1 in entry.items():
+            for k1, c1 in entry.items():
                 c1 *= sign
-                for e2, c2 in sub.items():
-                    e = tuple(map(operator.add, e1, e2))
-                    s = total.get(e, 0) + c1 * c2
+                for k2, c2 in sub.items():
+                    k = k1 + k2
+                    s = total.get(k, 0) + c1 * c2
                     if s:
-                        total[e] = s
+                        total[k] = s
                     else:
-                        del total[e]
+                        del total[k]
         return total
 
     def _subminor(self, rows: tuple, cols: tuple) -> Dict:
@@ -457,11 +467,22 @@ class _MinorTable:
             hit = self._memo[key] = self._expand(rows, cols)
         return hit
 
+    def _exponent(self, key: int) -> tuple:
+        """The exponent tuple a packed monomial key stands for, decoded once per table."""
+        exp = self._exponents.get(key)
+        if exp is None:
+            rest, digits = key, []
+            for _ in self.variables:
+                rest, digit = divmod(rest, self._base)
+                digits.append(digit)
+            exp = self._exponents[key] = tuple(digits)
+        return exp
+
     def minor(self, rows: tuple, cols: tuple) -> ParamPoly:
         """det of the (rows, cols) submatrix of the original entries."""
         ints = self._expand(rows, cols) if len(rows) > 1 else self.cells[rows[0]][cols[0]]
         den = math.prod(self.scales[r] for r in rows)
-        return ParamPoly._make(self.variables, {e: Fraction(c, den) for e, c in ints.items()})
+        return ParamPoly._make(self.variables, {self._exponent(k): Fraction(c, den) for k, c in ints.items()})
 
 
 def parametric_minors(m: ExactMatrix, order: int):
@@ -482,7 +503,7 @@ def parametric_minors(m: ExactMatrix, order: int):
                 break
         if variables:
             break
-    table = _MinorTable(m.entries, variables)
+    table = _MinorTable(m.entries, variables, order)
     return [
         table.minor(rows, cols)
         for rows in itertools.combinations(range(m.rows), order)

@@ -19,12 +19,6 @@ def word_key(w: Word):
     return (len(w), w)
 
 
-def compare_deglex(a: Word, b: Word) -> int:
-    """-1, 0 or 1 according to the graded lexicographic order."""
-    ka, kb = word_key(a), word_key(b)
-    return (ka > kb) - (ka < kb)
-
-
 class NcPoly:
     """Element of the free algebra: a map from words to nonzero Fractions."""
 
@@ -163,11 +157,6 @@ class NcPoly:
         return f"NcPoly({poly_str(self)})"
 
 
-def nc_mul(p: NcPoly, q: NcPoly) -> NcPoly:
-    """Free-algebra product (bilinear, associative, unit = empty word)."""
-    return p * q
-
-
 class LinearMap:
     """Linear action on the degree-one span; column j is the image of generator j."""
 
@@ -208,16 +197,6 @@ class LinearMap:
         if len(rows) < n:
             raise ValueError("singular map")
         return LinearMap(ExactMatrix([rows.solve({j: 1}, n) for j in range(n)]))
-
-    def compose(self, other: "LinearMap") -> "LinearMap":
-        """self after other, as maps on the generator span."""
-        a, b = self.matrix, other.matrix
-        return LinearMap(
-            ExactMatrix(
-                [[sum((a[i, k] * b[k, j] for k in range(self.n)), Fraction(0)) for j in range(self.n)]
-                 for i in range(self.n)]
-            )
-        )
 
     def apply(self, p: NcPoly) -> NcPoly:
         return apply_linear(self, p)

