@@ -260,7 +260,6 @@ def normal_locus_in_span(
     else:
         a_side = [_flatten([normal_form(g * h, gb) for g in gens]) for h in side]
     units = [tuple(1 if t == k else 0 for t in range(m)) for k in range(m)]
-    zero = ParamPoly._make(variables, {})
 
     minors: List[MinorRecord] = []
     open_sides = []  # (columns, augmented columns, families not contained everywhere) per side
@@ -286,7 +285,7 @@ def normal_locus_in_span(
             # the rows are the words some column holds: every other row is zero
             words = sorted({w for column in cells for w in column}, key=word_key)
             if len(words) >= s + 1:
-                rows = [[column.get(w, zero) for column in cells] for w in words]
+                rows = [[column.get(w, 0) for column in cells] for w in words]
                 for poly in parametric_minors(ExactMatrix(rows), s + 1):
                     if poly:
                         minors.append(MinorRecord(side_name, g, poly))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import sys
 import time
 from dataclasses import dataclass, field, fields
@@ -76,6 +77,10 @@ def parse_spec(path: str) -> AlgebraSpecFile:
     n = data.get("n")
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise SpecFileError("n: expected a positive integer")
+    # before the default mu, which is n x n: a huge n with too few forms fails here at once
+    raw_forms = data.get("forms")
+    if not isinstance(raw_forms, list) or len(raw_forms) != n:
+        raise SpecFileError(f"forms: expected a list of {n} matrices")
     if "mu" in data:
         mu_grid = _scalar_grid(data["mu"], n, "mu")
     else:
@@ -84,9 +89,6 @@ def parse_spec(path: str) -> AlgebraSpecFile:
         mu = MuMatrix(mu_grid)
     except ValueError as exc:
         raise SpecFileError(f"mu: {exc}") from exc
-    raw_forms = data.get("forms")
-    if not isinstance(raw_forms, list) or len(raw_forms) != n:
-        raise SpecFileError(f"forms: expected a list of {n} matrices")
     forms = []
     for k, raw in enumerate(raw_forms):
         grid = _scalar_grid(raw, n, f"forms[{k}]")
@@ -202,6 +204,15 @@ def _tau_for(spec: AlgebraSpecFile, flags: Flags) -> DiagonalAutomorphism:
     raise ValueError("this command needs a diagonal automorphism: supply a \"tau\" field or --tau")
 
 
+def _parse_element(spec: AlgebraSpecFile, flags: Flags):
+    """The polynomial argument, after rejecting an exponent above the bound: parse_poly writes x1^k out as k letters."""
+    bound = _bound(spec, flags)
+    top = max(map(int, re.findall(r"\^\s*(\d+)", flags.poly)), default=0)
+    if top > bound:
+        raise DegreeBoundError(f"degree {top} exceeds completeness bound {bound}")
+    return parse_poly(flags.poly, spec.n)
+
+
 def _pair_label(i: int, j: int) -> str:
     return f"{i + 1},{j + 1}"
 
@@ -240,7 +251,7 @@ def _handle_nf(spec, flags):
     pres, letter = _presentation_for(spec, algebra)
     if flags.poly is None:
         raise ValueError("nf needs a polynomial argument")
-    p = parse_poly(flags.poly, spec.n)
+    p = _parse_element(spec, flags)
     gb = groebner(pres, _bound(spec, flags))
     nf = normal_form(p, gb)
     evidence = {"algebra": algebra, "input": flags.poly, "normal_form": poly_str(nf, letter)}
@@ -345,7 +356,7 @@ def _element_verdict(spec, flags, command: str, check):
         raise ValueError(f"{command} needs a polynomial argument")
     pres = _build(spec)
     gb = pres.groebner(_bound(spec, flags))
-    p = parse_poly(flags.poly, spec.n)
+    p = _parse_element(spec, flags)
     # the ambient side (None) is the degree-one generators
     return check(p, gb, pres.y_normal_forms(gb) if flags.side == "y" else None)
 

@@ -81,7 +81,8 @@ class ParamPoly:
     """Commutative polynomial in named parameters with exact coefficients.
 
     Terms map exponent tuples (one slot per variable) to nonzero Fractions.
-    Instances are treated as immutable once constructed.
+    Instances are immutable values with no arithmetic: `_MinorTable`
+    expands the minors that produce them on packed ints.
     """
 
     __slots__ = ("variables", "terms")
@@ -107,81 +108,11 @@ class ParamPoly:
         p.terms = terms
         return p
 
-    @classmethod
-    def constant(cls, variables: Sequence[str], value) -> "ParamPoly":
-        value = Fraction(value)
-        zero_exp = (0,) * len(tuple(variables))
-        return cls(variables, {zero_exp: value} if value else {})
-
-    @classmethod
-    def variable(cls, variables: Sequence[str], name: str) -> "ParamPoly":
-        variables = tuple(variables)
-        idx = variables.index(name)
-        exp = tuple(1 if i == idx else 0 for i in range(len(variables)))
-        return cls(variables, {exp: Fraction(1)})
-
-    def _coerce(self, other) -> "ParamPoly":
-        if isinstance(other, ParamPoly):
-            if other.variables != self.variables:
-                raise ValueError("parameter polynomials over different variable lists")
-            return other
-        return ParamPoly.constant(self.variables, other)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        terms = dict(self.terms)
-        for exp, c in other.terms.items():
-            s = terms.get(exp, 0) + c
-            if s:
-                terms[exp] = s
-            else:
-                del terms[exp]
-        return ParamPoly._make(self.variables, terms)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ParamPoly._make(self.variables, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Fraction(other)
-            if not other:
-                return ParamPoly._make(self.variables, {})
-            return ParamPoly._make(self.variables, {e: c * other for e, c in self.terms.items()})
-        other = self._coerce(other)
-        terms: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(operator.add, e1, e2))
-                s = terms.get(e, 0) + c1 * c2
-                if s:
-                    terms[e] = s
-                else:
-                    del terms[e]
-        return ParamPoly._make(self.variables, terms)
-
-    __rmul__ = __mul__
-
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = ParamPoly.constant(self.variables, other)
         return isinstance(other, ParamPoly) and self.variables == other.variables and self.terms == other.terms
 
     def __bool__(self):
         return bool(self.terms)
-
-    def degree(self):
-        """Total degree, or None for the zero polynomial."""
-        if not self.terms:
-            return None
-        return max(sum(e) for e in self.terms)
 
     def evaluate(self, values: Sequence) -> Fraction:
         values = [Fraction(v) for v in values]
@@ -394,14 +325,6 @@ def solve_in_span(target: Sequence[Fraction], basis: Sequence[Sequence[Fraction]
     return ech.solve(target, len(basis))
 
 
-def _lift(entry, variables) -> ParamPoly:
-    if isinstance(entry, ParamPoly):
-        if entry.variables != variables:
-            raise ValueError("parameter polynomials over different variable lists")
-        return entry
-    return ParamPoly.constant(variables, entry)
-
-
 class _MinorTable:
     """Minors of one matrix, with the sub-minors they share computed once.
 
@@ -419,9 +342,22 @@ class _MinorTable:
 
     __slots__ = ("variables", "cells", "scales", "_memo", "_base", "_exponents")
 
-    def __init__(self, entries, variables, order):
-        self.variables = variables
-        lifted = [[_lift(e, variables).terms for e in row] for row in entries]
+    def __init__(self, entries, order):
+        variables = None
+        lifted = []
+        for row in entries:
+            cells = []
+            for e in row:
+                if isinstance(e, ParamPoly):
+                    if variables not in (None, e.variables):
+                        raise ValueError("parameter polynomials over different variable lists")
+                    variables = e.variables
+                    cells.append(e.terms)
+                else:
+                    # a scalar is a constant; its empty exponent packs to key 0 whatever the variables
+                    cells.append({(): Fraction(e)} if e else {})
+            lifted.append(cells)
+        self.variables = variables = variables or ()
         top = max((x for row in lifted for terms in row for exp in terms for x in exp), default=0)
         self._base = base = order * top + 1
         weights = [base**i for i in range(len(variables))]
@@ -495,15 +431,7 @@ def parametric_minors(m: ExactMatrix, order: int):
         raise ValueError("empty minor order")
     if order > min(m.rows, m.cols):
         raise ValueError(f"minor order {order} exceeds matrix shape {m.rows}x{m.cols}")
-    variables = ()
-    for row in m.entries:
-        for e in row:
-            if isinstance(e, ParamPoly):
-                variables = e.variables
-                break
-        if variables:
-            break
-    table = _MinorTable(m.entries, variables, order)
+    table = _MinorTable(m.entries, order)
     return [
         table.minor(rows, cols)
         for rows in itertools.combinations(range(m.rows), order)

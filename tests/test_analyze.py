@@ -328,11 +328,7 @@ class TestLocusPointVerdicts:
     def test_worked_example_radius_two(self, ex21, monkeypatch):
         _, _, pres, gb = ex21
         y = pres.y_normal_forms(gb)
-        products = []
-        original = ParamPoly.__mul__
-        monkeypatch.setattr(ParamPoly, "__mul__", lambda a, b: products.append(1) or original(a, b))
         kinds = self.verdicts_match(gb, y, y, default_grid(3, 2), monkeypatch)
-        assert len(products) == 0  # the minor table multiplies int dicts, not ParamPoly
         assert kinds == {(True, "left"), (False, None)}
 
     def test_seeded_gscas(self, monkeypatch):

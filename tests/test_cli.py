@@ -62,6 +62,16 @@ class TestParseSpec:
         with pytest.raises(SpecFileError, match="forms"):
             parse_spec(str(path))
 
+    @pytest.mark.parametrize("n", [1500, 2**70], ids=["n1500", "n2pow70"])
+    def test_forms_count_is_checked_before_the_default_mu(self, n, tmp_path, capsys):
+        # the default mu is n x n; at 1500 it took seconds and at 2**70 it overflowed
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps({"n": n, "forms": []}))
+        start = time.perf_counter()
+        assert main(["build", str(path)]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == f"error: forms: expected a list of {n} matrices\n"
+
     def test_gca_kind_requires_ones_mu(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(
@@ -177,6 +187,20 @@ class TestMain:
         assert main(["nf", fixture_path("example21.json"), "x3*x1", "--algebra", "gsca"]) == 0
         out = capsys.readouterr().out
         assert '"normal_form": "-x1*x3"' in out.replace("normal_form: ", '"normal_form": ')
+
+    @pytest.mark.parametrize("command", ["nf", "normal", "central"])
+    def test_power_above_the_bound_is_rejected_before_parsing(self, command, monkeypatch, capsys):
+        ex = fixture_path("example21.json")
+        # a power at the bound is parsed: nf reads degree 8, normal and central degree 9
+        assert main([command, ex, "x1^8", "--max-deg", "8"]) == (0 if command == "nf" else 2)
+        if command != "nf":
+            assert capsys.readouterr().err == "error: degree 9 exceeds completeness bound 8\n"
+        parsed = []
+        monkeypatch.setattr(cli, "parse_poly", lambda *a: parsed.append(a))
+        # x1^3000000000 written out would be a word of 3e9 letters
+        assert main([command, ex, "x2 + 2*x1 ^ 3000000000", "--max-deg", "8"]) == 2
+        assert capsys.readouterr().err == "error: degree 3000000000 exceeds completeness bound 8\n"
+        assert parsed == []
 
     def test_bad_poly_is_error(self, capsys):
         assert main(["nf", fixture_path("example21.json"), "x9"]) == 2

@@ -56,28 +56,14 @@ def rendered_polys():
 class TestParamPoly:
     VARS = ("c1", "c2")
 
-    def c(self, name):
-        return ParamPoly.variable(self.VARS, name)
-
     def test_zero_coefficients_dropped(self):
-        p = self.c("c1") - self.c("c1")
+        p = ParamPoly(self.VARS, {(1, 0): 0, (0, 1): Fraction(0)})
         assert not p
         assert p.terms == {}
 
-    def test_arithmetic(self):
-        c1, c2 = self.c("c1"), self.c("c2")
-        p = (c1 + c2) * (c1 - c2)
-        assert p == c1 * c1 - c2 * c2
-        assert str(p) == "c1^2 - c2^2"
-
     def test_evaluate(self):
-        c1, c2 = self.c("c1"), self.c("c2")
-        p = 2 * c1 * c2 + ParamPoly.constant(self.VARS, Fraction(1, 2))
+        p = ParamPoly(self.VARS, {(1, 1): 2, (0, 0): Fraction(1, 2)})
         assert p.evaluate([Fraction(3), Fraction(-1)]) == Fraction(-11, 2)
-
-    def test_mixed_variable_lists_rejected(self):
-        with pytest.raises(ValueError):
-            self.c("c1") + ParamPoly.variable(("d1",), "d1")
 
     @settings(max_examples=200)
     @given(rendered_polys())
@@ -282,16 +268,13 @@ class TestParametricMinors:
     VARS = ("c1", "c2")
 
     def c(self, name):
-        return ParamPoly.variable(self.VARS, name)
-
-    def zero(self):
-        return ParamPoly.constant(self.VARS, 0)
+        return ParamPoly(self.VARS, {tuple(int(v == name) for v in self.VARS): 1})
 
     def test_diagonal(self):
-        m = ExactMatrix([[self.c("c1"), self.zero()], [self.zero(), self.c("c2")]])
+        m = ExactMatrix([[self.c("c1"), 0], [0, self.c("c2")]])
         minors = parametric_minors(m, 2)
         assert len(minors) == 1
-        assert minors[0] == self.c("c1") * self.c("c2")
+        assert minors[0] == ParamPoly(self.VARS, {(1, 1): 1})
 
     def test_constant_identity(self):
         minors = parametric_minors(ExactMatrix.identity(2), 2)
@@ -301,14 +284,15 @@ class TestParametricMinors:
     def test_symmetric_two_by_two(self):
         c1, c2 = self.c("c1"), self.c("c2")
         minors = parametric_minors(ExactMatrix([[c1, c2], [c2, c1]]), 2)
-        assert minors == [c1 * c1 - c2 * c2]
+        assert minors == [ParamPoly(self.VARS, {(2, 0): 1, (0, 2): -1})]
+        assert str(minors[0]) == "c1^2 - c2^2"
 
     def test_order_zero_rejected(self):
         with pytest.raises(ValueError, match="empty minor order"):
             parametric_minors(ExactMatrix.identity(2), 0)
 
     def test_mixed_variable_lists_rejected(self):
-        other = ParamPoly.variable(("d1",), "d1")
+        other = ParamPoly(("d1",), {(1,): 1})
         with pytest.raises(ValueError, match="different variable lists"):
             parametric_minors(ExactMatrix([[self.c("c1"), Fraction(1)], [other, self.c("c2")]]), 2)
 
