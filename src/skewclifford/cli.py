@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import re
@@ -44,7 +45,23 @@ class AlgebraSpecFile:
     digest: str
 
 
-def _scalar_grid(raw, n: int, where: str):
+def _memo_scalar(entry, memo: Dict[tuple, Fraction]) -> Fraction:
+    """parse_scalar(entry), parsed once per distinct entry of one spec.
+
+    The key holds the type, so true (a bool, which equals 1) is never taken
+    for 1; an unhashable entry and a failure are never kept.
+    """
+    key = (type(entry), entry)
+    try:
+        value = memo.get(key)
+    except TypeError:  # unhashable, which parse_scalar rejects
+        return parse_scalar(entry)
+    if value is None:
+        value = memo[key] = parse_scalar(entry)
+    return value
+
+
+def _scalar_grid(raw, n: int, where: str, memo: Dict[tuple, Fraction]):
     if not isinstance(raw, list) or len(raw) != n:
         raise SpecFileError(f"{where}: expected {n} rows")
     grid = []
@@ -54,7 +71,7 @@ def _scalar_grid(raw, n: int, where: str):
         out_row = []
         for j, entry in enumerate(row):
             try:
-                out_row.append(parse_scalar(entry))
+                out_row.append(_memo_scalar(entry, memo))
             except ValueError as exc:
                 raise SpecFileError(f"{where}[{i}][{j}]: {exc}") from exc
         grid.append(out_row)
@@ -81,8 +98,9 @@ def parse_spec(path: str) -> AlgebraSpecFile:
     raw_forms = data.get("forms")
     if not isinstance(raw_forms, list) or len(raw_forms) != n:
         raise SpecFileError(f"forms: expected a list of {n} matrices")
+    memo: Dict[tuple, Fraction] = {}
     if "mu" in data:
-        mu_grid = _scalar_grid(data["mu"], n, "mu")
+        mu_grid = _scalar_grid(data["mu"], n, "mu", memo)
     else:
         mu_grid = [[Fraction(1)] * n for _ in range(n)]
     try:
@@ -91,7 +109,7 @@ def parse_spec(path: str) -> AlgebraSpecFile:
         raise SpecFileError(f"mu: {exc}") from exc
     forms = []
     for k, raw in enumerate(raw_forms):
-        grid = _scalar_grid(raw, n, f"forms[{k}]")
+        grid = _scalar_grid(raw, n, f"forms[{k}]", memo)
         try:
             forms.append(MuSymmetricMatrix(mu, grid))
         except ValueError as exc:
@@ -205,10 +223,16 @@ def _tau_for(spec: AlgebraSpecFile, flags: Flags) -> DiagonalAutomorphism:
 
 
 def _parse_element(spec: AlgebraSpecFile, flags: Flags):
-    """The polynomial argument, after rejecting an exponent above the bound: parse_poly writes x1^k out as k letters."""
+    """The polynomial argument, after rejecting an exponent above the bound: parse_poly writes x1^k out as k letters.
+
+    Exponents are ordered as digit strings, by length and then by digits,
+    and one with more digits than the bound exceeds it before `int` sees
+    it, so an exponent too long for `int` still gets the bound's message.
+    """
     bound = _bound(spec, flags)
-    top = max(map(int, re.findall(r"\^\s*(\d+)", flags.poly)), default=0)
-    if top > bound:
+    exponents = [digits.lstrip("0") or "0" for digits in re.findall(r"\^\s*(\d+)", flags.poly)]
+    top = max(exponents, key=lambda digits: (len(digits), digits), default="0")
+    if len(top) > len(str(bound)) or int(top) > bound:
         raise DegreeBoundError(f"degree {top} exceeds completeness bound {bound}")
     return parse_poly(flags.poly, spec.n)
 
@@ -493,7 +517,9 @@ def dispatch(command: str, spec: AlgebraSpecFile, flags: Flags) -> Report:
     return Report(command, digest, passed, verdicts, evidence, elapsed)
 
 
-def _make_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first `main` call and reused by later ones."""
     parser = argparse.ArgumentParser(prog="skewclifford", description="Graded (skew) Clifford algebra toolkit")
     parser.add_argument("command", choices=_HANDLERS)
     parser.add_argument("file", help="algebra description file (JSON)")
@@ -509,7 +535,7 @@ def _make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _make_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     flags = Flags(**{f.name: getattr(args, f.name) for f in fields(Flags)})
     try:
         spec = parse_spec(args.file)

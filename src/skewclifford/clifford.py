@@ -9,8 +9,17 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exact import Echelon
-from .freealg import MAX_GENERATORS, NcPoly, poly_str
-from .rewrite import GroebnerData, PresentedAlgebra, _relation_key, finite_dim_check, groebner, hilbert_coeffs, normal_form
+from .freealg import NcPoly, poly_str
+from .rewrite import (
+    GroebnerData,
+    PresentedAlgebra,
+    _check_generator_count,
+    _relation_key,
+    finite_dim_check,
+    groebner,
+    hilbert_coeffs,
+    normal_form,
+)
 
 MAX_PERMUTATION_FORMS = 8
 
@@ -32,9 +41,10 @@ class MuMatrix:
         for i in range(n):
             if grid[i][i] != 1:
                 raise ValueError(f"mu constraint violated at ({i + 1},{i + 1}): diagonal entry must be 1")
+        # symmetric in i and j, and row-major order meets the upper entry of a pair first
         for i in range(n):
-            for j in range(n):
-                if i != j and grid[i][j] * grid[j][i] != 1:
+            for j in range(i + 1, n):
+                if grid[i][j] * grid[j][i] != 1:
                     raise ValueError(
                         f"mu constraint violated at ({i + 1},{j + 1}): mu_ij*mu_ji != 1"
                     )
@@ -72,8 +82,10 @@ class MuSymmetricMatrix:
         grid = tuple(tuple(Fraction(e) for e in row) for row in entries)
         if len(grid) != mu.n or any(len(row) != mu.n for row in grid):
             raise ValueError(f"matrix size does not match mu (n = {mu.n})")
+        # with mu_ii = 1 and mu_ij * mu_ji = 1 the condition at (j, i) is the one
+        # at (i, j), and row-major order meets the upper entry of a pair first
         for i in range(mu.n):
-            for j in range(mu.n):
+            for j in range(i + 1, mu.n):
                 if grid[i][j] != mu[i, j] * grid[j][i]:
                     raise ValueError(f"not mu-symmetric at ({i + 1},{j + 1})")
         self.mu = mu
@@ -206,12 +218,15 @@ def quadratic_form_of(m: MuSymmetricMatrix) -> QuadraticForm:
 
 
 def build_skew_ring(mu: MuMatrix) -> PresentedAlgebra:
-    """The ambient skew ring: relations z_j z_i - mu_ij z_i z_j for i < j."""
-    relations = []
-    for i in range(mu.n):
-        for j in range(i + 1, mu.n):
-            relations.append(NcPoly({(j, i): Fraction(1), (i, j): -mu[i, j]}))
-    return PresentedAlgebra(mu.n, relations)
+    """The ambient skew ring: relations z_j z_i - mu_ij z_i z_j for i < j.
+
+    Each relation is monic with leading word z_j z_i, so listing them by j,
+    then i, is their `_relation_key` order and they need no cleaning.
+    """
+    _check_generator_count(mu.n)
+    one = Fraction(1)
+    relations = [NcPoly._make({(j, i): one, (i, j): -mu[i, j]}) for j in range(mu.n) for i in range(j)]
+    return PresentedAlgebra._trusted(mu.n, relations)
 
 
 def _pair_index(n: int) -> List[Tuple[int, int]]:
@@ -234,8 +249,7 @@ def build_gsca(mu: MuMatrix, matrices: Sequence[MuSymmetricMatrix]) -> CliffordP
     with pivot >= n, zero on the y columns, are the quadratic x-relations.
     """
     n = mu.n
-    if not 1 <= n <= MAX_GENERATORS:
-        raise ValueError(f"generator count must be in 1..{MAX_GENERATORS}, got {n}")
+    _check_generator_count(n)
     if len(matrices) != n:
         raise ValueError(f"expected {n} matrices, got {len(matrices)}")
     for m in matrices:

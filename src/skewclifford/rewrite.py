@@ -13,7 +13,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .exact import int_scaled
 from .freealg import MAX_GENERATORS, NcPoly, Word, word_key
@@ -27,16 +27,28 @@ def _relation_key(p: NcPoly):
     return (word_key(p.lead_word()), p.canonical_key())
 
 
+def _check_generator_count(n: int) -> None:
+    if not 1 <= n <= MAX_GENERATORS:
+        raise ValueError(f"generator count must be in 1..{MAX_GENERATORS}, got {n}")
+
+
 class PresentedAlgebra:
     """Graded algebra on n degree-one generators with homogeneous relations of degree >= 2."""
 
     __slots__ = ("n", "relations")
 
     def __init__(self, n: int, relations: Sequence[NcPoly]):
-        if not 1 <= n <= MAX_GENERATORS:
-            raise ValueError(f"generator count must be in 1..{MAX_GENERATORS}, got {n}")
+        _check_generator_count(n)
         self.n = n
         self.relations = tuple(self._cleaned(relations))
+
+    @classmethod
+    def _trusted(cls, n: int, relations: Iterable[NcPoly]) -> "PresentedAlgebra":
+        """The algebra on relations that are already nonzero, valid for n, monic and in `_relation_key` order."""
+        alg = object.__new__(cls)
+        alg.n = n
+        alg.relations = tuple(relations)
+        return alg
 
     def _cleaned(self, relations: Sequence[NcPoly]) -> List[NcPoly]:
         """The nonzero relations, validated against self.n, made monic and sorted."""
@@ -62,10 +74,7 @@ class PresentedAlgebra:
         Equal to PresentedAlgebra(n, self.relations + relations): both lists
         are sorted, so merging them gives the same order.
         """
-        alg = object.__new__(PresentedAlgebra)
-        alg.n = self.n
-        alg.relations = tuple(heapq.merge(self.relations, self._cleaned(relations), key=_relation_key))
-        return alg
+        return PresentedAlgebra._trusted(self.n, heapq.merge(self.relations, self._cleaned(relations), key=_relation_key))
 
     def __eq__(self, other):
         return isinstance(other, PresentedAlgebra) and self.n == other.n and self.relations == other.relations
@@ -758,9 +767,68 @@ def degree_basis(gb: GroebnerData, d: int) -> List[Word]:
     return words
 
 
+def _normal_word_counts(gb: GroebnerData, through: int) -> List[int]:
+    """The number of words with no leading word as a subword, for each degree 0..through.
+
+    The counts are those of `_normal_words`, taken without listing a word:
+    they count the paths of Ufnarovski's graph of normal words (1982),
+    built as the Aho-Corasick automaton (1975) of the leading words.  Its
+    states are the prefixes of the leading words, and reading a letter
+    moves to the longest suffix of the word read so far that is a state.
+    A state is dead when it ends in a leading word: it or a state on its
+    failure chain (its suffixes that are states) is a leading word.  A
+    word is normal exactly when reading it passes no dead state, so the
+    normal words of degree d + 1 are those of degree d moved by one
+    letter to a live state, and a count per state carries them.
+    Leading words longer than through can hold no word read, so they are
+    left out.
+    """
+    gb.require(through)
+    n = gb.n
+    children: List[Dict[int, int]] = [{}]
+    dead = [False]
+    for lw in gb._rules.by_lead:
+        if len(lw) > through:
+            continue
+        s = 0
+        for a in lw:
+            t = children[s].get(a)
+            if t is None:
+                t = children[s][a] = len(children)
+                children.append({})
+                dead.append(False)
+            s = t
+        dead[s] = True
+    # breadth first, so a state's failure target, which is shorter, is done before it
+    step: List[List[int]] = [[]] * len(children)
+    step[0] = [children[0].get(a, 0) for a in range(n)]
+    fail = [0] * len(children)
+    queue = list(children[0].values())
+    for s in queue:
+        base = step[fail[s]]
+        dead[s] = dead[s] or dead[fail[s]]
+        row = list(base)
+        for a, t in children[s].items():
+            fail[t] = base[a]
+            row[a] = t
+            queue.append(t)
+        step[s] = row
+    live = [[t for t in row if not dead[t]] for row in step]
+    counts = [1]
+    frontier: Dict[int, int] = {0: 1}
+    for _ in range(through):
+        nxt: Dict[int, int] = {}
+        for s, c in frontier.items():
+            for t in live[s]:
+                nxt[t] = nxt.get(t, 0) + c
+        frontier = nxt
+        counts.append(sum(nxt.values()))
+    return counts
+
+
 def hilbert_coeffs(gb: GroebnerData, through: int) -> List[int]:
     """Dimensions of the graded pieces 0..through."""
-    return [len(words) for words in _normal_words(gb, through)]
+    return _normal_word_counts(gb, through)
 
 
 @dataclass(frozen=True)
@@ -781,9 +849,7 @@ def finite_dim_check(gb: GroebnerData) -> FiniteDimVerdict:
     A zero piece in degree d kills every higher degree because the algebra
     is generated in degree one.
     """
-    total = 0
-    for words in _normal_words(gb, gb.complete_through):
-        if not words:
-            return FiniteDimVerdict(True, total, gb.complete_through)
-        total += len(words)
+    counts = _normal_word_counts(gb, gb.complete_through)
+    if 0 in counts:
+        return FiniteDimVerdict(True, sum(counts[: counts.index(0)]), gb.complete_through)
     return FiniteDimVerdict(False, None, gb.complete_through)

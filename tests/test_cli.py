@@ -93,6 +93,41 @@ class TestParseSpec:
         with pytest.raises(SpecFileError, match="unknown"):
             parse_spec(str(path))
 
+    @pytest.mark.parametrize(
+        ("field", "i", "j", "value", "message"),
+        [
+            ("forms", 1, 0, "5", "forms[2]: not mu-symmetric at (1,2)"),
+            ("forms", 2, 1, "1", "forms[2]: not mu-symmetric at (2,3)"),
+            ("mu", 1, 0, "3", "mu: mu constraint violated at (1,2): mu_ij*mu_ji != 1"),
+            ("mu", 2, 0, "3", "mu: mu constraint violated at (1,3): mu_ij*mu_ji != 1"),
+        ],
+    )
+    def test_lower_triangle_edit_names_the_upper_entry(self, field, i, j, value, message, tmp_path):
+        # an edit below the diagonal is reported at its upper entry, as the checks run over i < j
+        data = json.loads(open(fixture_path("example21.json")).read())
+        grid = data["forms"][2] if field == "forms" else data["mu"]
+        grid[i][j] = value
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(SpecFileError) as caught:
+            parse_spec(str(path))
+        assert str(caught.value) == message
+
+    def test_each_distinct_scalar_is_parsed_once(self, monkeypatch):
+        parsed = []
+        monkeypatch.setattr(cli, "parse_scalar", lambda text: parsed.append(text) or Fraction(text))
+        spec = parse_spec(fixture_path("example21.json"))
+        assert sorted(parsed) == ["0", "1", "1/2", "2"]
+        assert spec.forms[2][1, 0] == Fraction(1, 2) and spec.mu[1, 0] == Fraction(1, 2)
+
+    @pytest.mark.parametrize("entry", [True, False, 1.0, [1]], ids=["true", "false", "float", "list"])
+    def test_a_memoized_equal_scalar_does_not_admit_another_type(self, entry, tmp_path):
+        # 1 and 0 are parsed first, and True == 1, False == 0 == 0.0
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps({"n": 2, "forms": [[[1, 0], [0, entry]], [[1, 0], [0, 1]]]}))
+        with pytest.raises(SpecFileError, match=r"^forms\[0\]\[1\]\[1\]: malformed scalar"):
+            parse_spec(str(path))
+
 
 class TestDispatch:
     def test_regular_worked_example(self):
@@ -201,6 +236,35 @@ class TestMain:
         assert main([command, ex, "x2 + 2*x1 ^ 3000000000", "--max-deg", "8"]) == 2
         assert capsys.readouterr().err == "error: degree 3000000000 exceeds completeness bound 8\n"
         assert parsed == []
+
+    def test_exponent_too_long_for_int_names_the_bound(self, capsys):
+        # int() refuses strings of more than 4300 digits by default
+        nines = "9" * 5000
+        assert main(["nf", fixture_path("example21.json"), f"x1^000{nines}"]) == 2
+        assert capsys.readouterr().err == f"error: degree {nines} exceeds completeness bound 8\n"
+
+    def test_repeated_calls_match_fresh_runs(self, capsys):
+        ex = fixture_path("example21.json")
+        runs = [
+            ["twist", ex, "--algebra", "skew", "--tau", "2,3,-1", "--inverse", "--max-deg", "3", "--format", "json"],
+            ["twist", ex, "--tau", "2,3,-1"],
+            ["hilbert", ex, "--max-deg", "5", "--format", "json"],
+        ]
+
+        def untimed(out):
+            return re.sub(r'(timing_ms"?: )[0-9.]+', r"\1T", out)
+
+        in_process = []
+        for argv in runs:
+            code = main(argv)
+            in_process.append((code, untimed(capsys.readouterr().out)))
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(skewclifford.__file__))}
+        fresh = []
+        for argv in runs:
+            done = subprocess.run([sys.executable, "-m", "skewclifford.cli", *argv], env=env, capture_output=True, text=True)
+            fresh.append((done.returncode, untimed(done.stdout)))
+        assert in_process == fresh
+        assert '"inverse_applied": true' in in_process[0][1] and "inverse_applied: false" in in_process[1][1]
 
     def test_bad_poly_is_error(self, capsys):
         assert main(["nf", fixture_path("example21.json"), "x9"]) == 2

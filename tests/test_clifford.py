@@ -134,6 +134,14 @@ class TestBuildSkewRing:
     def test_single_generator(self):
         assert sk.build_skew_ring(sk.MuMatrix.ones(1)).relations == ()
 
+    def test_equals_the_validated_presentation(self):
+        # build_skew_ring lists its relations monic and sorted, skipping the cleaning
+        rng = random.Random(2718)
+        for n in range(1, 8):
+            for _ in range(3):
+                ring = sk.build_skew_ring(random_mu(rng, n))
+                assert ring == PresentedAlgebra(n, ring.relations)
+
 
 class TestBuildGsca:
     def test_worked_example(self, ex21):

@@ -6,7 +6,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import skewclifford as sk
@@ -625,6 +625,7 @@ def _power(d):
 DEGREE_READERS = {
     "normal_form": lambda gb, d: normal_form(_power(d), gb),
     "degree_basis": lambda gb, d: degree_basis(gb, d),
+    "hilbert_coeffs": lambda gb, d: hilbert_coeffs(gb, d),
     "is_normal": lambda gb, d: is_normal(_power(d - 1), gb),
     "is_central": lambda gb, d: is_central(_power(d - 1), gb),
     "subalgebra_basis": lambda gb, d: subalgebra_basis(gb, [_power(2)], d),
@@ -710,8 +711,56 @@ class TestHilbert:
             )
 
 
+@st.composite
+def lead_sets(draw):
+    """(n, through, leading words): random words over n letters, none inside another, some longer than through."""
+    n = draw(st.integers(1, 4))
+    through = draw(st.integers(0, 7))
+    drawn = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=9).map(tuple), max_size=8))
+    leads = []
+    for w in sorted(set(drawn), key=len):
+        if not any(w[p : p + len(u)] == u for u in leads for p in range(len(w) - len(u) + 1)):
+            leads.append(w)
+    return n, through, leads
+
+
+def lead_basis(n, through, leads):
+    """A basis complete through `through` whose leading words are `leads`; the counts read nothing else."""
+    rules = rewrite._LeadIndex()
+    for lw in leads:
+        rules.add(lw, (1, {}))
+    return rewrite.GroebnerData(PresentedAlgebra(n, []), through, rules)
+
+
 class TestDegreeWalk:
-    """`degree_basis`, `hilbert_coeffs` and `finite_dim_check` read one walk over the degrees."""
+    """`degree_basis` lists the normal words; `hilbert_coeffs` and `finite_dim_check` count them on the automaton."""
+
+    @PROPERTY
+    @given(lead_sets())
+    @example((1, 5, []))
+    @example((2, 7, []))
+    @example((2, 7, [(0, 0, 0)]))
+    @example((2, 7, [(0, 1, 0, 1)]))
+    @example((3, 7, [(0, 1, 0, 1), (1, 1, 0), (2, 0, 2, 0, 2)]))
+    @example((2, 3, [(0, 1, 1, 0), (1, 0, 0, 0, 1)]))
+    # a leading word inside others: at the end, at the start and in the middle,
+    # and at the end of a proper prefix of (1, 0, 1, 1)
+    @example((2, 6, [(0, 1), (1, 0, 1), (0, 1, 1), (1, 0, 1, 0)]))
+    @example((2, 6, [(0, 1), (1, 0, 1, 1)]))
+    def test_counts_equal_the_lengths_of_the_listing(self, case):
+        n, through, leads = case
+        gb = lead_basis(n, through, leads)
+        listed = [len(words) for words in rewrite._normal_words(gb, through)]
+        assert rewrite._normal_word_counts(gb, through) == listed
+
+    def test_regularity_lists_no_word(self, monkeypatch):
+        def listing(*args):
+            raise AssertionError("a normal word was listed")
+
+        monkeypatch.setattr(rewrite, "_normal_words", listing)
+        report = sk.regularity_verdict(triangular_gca(7, 7), 16)
+        assert report.regular and report.base_points.dimension == 2**7
+        assert report.hilbert_computed == report.hilbert_expected == tuple(math.comb(6 + d, d) for d in range(17))
 
     @PROPERTY
     @given(st.one_of(presentations().map(lambda c: (c[0], PresentedAlgebra(c[0], c[1]), c[2])), skew_quotients()))
@@ -738,8 +787,9 @@ class TestDegreeWalk:
     def test_hilbert_keeps_two_degrees_alive(self):
         # The GCA at n = 6 has C(5 + d, 5) normal words in degree d: 11628 in
         # degree 14 and 27132 below it.  Keeping every degree peaked at about
-        # 5.6 MB; the walk keeps the last two degrees and peaks at about
-        # 4.4 MB (tracemalloc, CPython 3.11).  The bound lies between them.
+        # 5.6 MB, and a walk keeping the last two degrees at about 4.4 MB
+        # (tracemalloc, CPython 3.11).  Counting on the automaton keeps no
+        # word and stays far below the bound.
         gb = triangular_gca(6, 6).groebner(14)
         tracemalloc.start()
         try:
