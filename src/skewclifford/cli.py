@@ -86,6 +86,8 @@ def parse_spec(path: str) -> AlgebraSpecFile:
         data = json.loads(raw_bytes.decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise SpecFileError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:  # the decoder recurses once per nested array or object
+        raise SpecFileError("invalid JSON: nesting too deep") from exc
     if not isinstance(data, dict):
         raise SpecFileError("top level must be an object")
     unknown = set(data) - {"n", "mu", "forms", "tau", "kind"}

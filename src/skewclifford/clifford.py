@@ -325,18 +325,22 @@ def normalizing_check(sys: QuadricSystem, max_degree: int) -> NormalizingVerdict
     q is normal in S.  The identity maps to every quotient S/I, which the
     z_g still generate, so q is normal after every prefix and needs neither
     a basis nor `is_normal`.  The rule only skips work: the verdicts, the
-    visiting order and `searched` are those of the full search.  It is off
-    below bound 3, where the degree-3 products that `is_normal` reads lie
-    past the basis, so `is_normal` still raises the `DegreeBoundError`
+    visiting order and `searched` are those of the full search.  When it
+    settles every form, the given order, the first one visited, passes, so
+    that verdict is returned at once, whatever the number of forms.  It is
+    off below bound 3, where the degree-3 products that `is_normal` reads
+    lie past the basis, so `is_normal` still raises the `DegreeBoundError`
     that says the search cannot run there.
     """
     from .analyze import is_normal  # local import avoids a module cycle
 
     m = len(sys.forms)
+    normal_in_ring = [max_degree >= 3 and _normal_in_skew_ring(q, sys.mu) for q in sys.forms]
+    if all(normal_in_ring):
+        return NormalizingVerdict(True, tuple(range(m)), 1)
     if m > MAX_PERMUTATION_FORMS:
         raise ValueError(f"permutation search capped at {MAX_PERMUTATION_FORMS} forms")
-    normal_in_ring = [max_degree >= 3 and _normal_in_skew_ring(q, sys.mu) for q in sys.forms]
-    ring = None if all(normal_in_ring) else build_skew_ring(sys.mu)  # all settled: no basis is built
+    ring = build_skew_ring(sys.mu)
     bases: Dict[frozenset, GroebnerData] = {}
     verdicts: Dict[Tuple[frozenset, int], bool] = {}
 
@@ -351,10 +355,8 @@ def normalizing_check(sys: QuadricSystem, max_degree: int) -> NormalizingVerdict
             verdicts[prefix, k] = is_normal(sys.forms[k].as_ncpoly(), gb).normal
         return verdicts[prefix, k]
 
-    given = tuple(range(m))
-    orders = [given] + [p for p in itertools.permutations(range(m)) if p != given]
     searched = 0
-    for order in orders:
+    for order in itertools.permutations(range(m)):  # the given order first
         searched += 1
         if all(normal_after(frozenset(order[:t]), order[t]) for t in range(m)):
             return NormalizingVerdict(True, order, searched)

@@ -175,7 +175,8 @@ class ExactMatrix:
 
 def _sparse(vec) -> Dict:
     """Nonzero entries of a dense sequence or a column -> value mapping."""
-    items = vec.items() if isinstance(vec, Mapping) else enumerate(vec)
+    # dict first: it answers without the slow ABC check that any other Mapping needs
+    items = vec.items() if isinstance(vec, (dict, Mapping)) else enumerate(vec)
     return {col: Fraction(v) for col, v in items if v}
 
 

@@ -577,6 +577,13 @@ class _Overlaps:
         return found
 
 
+def _extensions(rules: _LeadIndex, n: int, w: Word) -> List[Word]:
+    """The words w + (i,) with no leading word as a subword, in deglex order; w is such a word."""
+    # w is normal, so only suffixes ending at the new letter can hold a leading word
+    leads, d = rules.by_lead, len(w) + 1
+    return [c for c in (w + (i,) for i in range(n)) if not any(d >= L and c[d - L :] in leads for L in rules.lengths)]
+
+
 def _normal_word(rules: _LeadIndex, n: int, prev: Word) -> Optional[Word]:
     """A word of degree len(prev) + 1 with no leading word as a subword, or None when there is none.
 
@@ -584,14 +591,7 @@ def _normal_word(rules: _LeadIndex, n: int, prev: Word) -> Optional[Word]:
     tried first; failing that, a depth-first search over the normal words
     returns the deglex-first one.
     """
-    leads, lengths = rules.by_lead, rules.lengths
-
-    def extensions(w: Word) -> List[Word]:
-        # w is normal, so only suffixes ending at the new letter can hold a leading word
-        d = len(w) + 1
-        return [c for c in (w + (i,) for i in range(n)) if not any(d >= L and c[d - L :] in leads for L in lengths)]
-
-    grown = extensions(prev)
+    grown = _extensions(rules, n, prev)
     if grown:
         return grown[0]
     d = len(prev) + 1
@@ -600,7 +600,7 @@ def _normal_word(rules: _LeadIndex, n: int, prev: Word) -> Optional[Word]:
         w = stack.pop()
         if len(w) == d:
             return w
-        stack.extend(reversed(extensions(w)))
+        stack.extend(reversed(_extensions(rules, n, w)))
     return None
 
 
@@ -741,20 +741,10 @@ def _normal_words(gb: GroebnerData, through: int) -> Iterator[List[Word]]:
     Each degree grows from the one before by a letter and nothing else is kept.
     """
     gb.require(through)
-    leads = gb._rules.by_lead
-    lengths = gb._rules.lengths
     words: List[Word] = [()]
-    for d in range(through + 1):
-        if d:
-            grown = []
-            for w in words:
-                for i in range(gb.n):
-                    cand = w + (i,)
-                    # w is already normal, so only suffixes ending at the new
-                    # letter can introduce a leading word.
-                    if not any(d >= L and cand[d - L :] in leads for L in lengths):
-                        grown.append(cand)
-            words = grown
+    yield words
+    for _ in range(through):
+        words = [c for w in words for c in _extensions(gb._rules, gb.n, w)]
         yield words
 
 

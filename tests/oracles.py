@@ -10,8 +10,10 @@ degree), `naive_reduce` rewrites by
 re-sorting every term and scanning every leading word at each step,
 `leibniz_det` sums over permutations with its own polynomial arithmetic,
 `form_matrix` inverts the form of a mu-symmetric matrix by its entry
-formulas, and `join_terms` renders coefficients through `Fraction`'s own
-abs, sign and text.
+formulas, `twist_pair_clauses` checks the dagger and C-side clauses of the
+twist theorem on every ordered pair, as stated, with `naive_reduce`, and
+`join_terms` renders coefficients through `Fraction`'s own abs, sign and
+text.
 """
 
 import itertools
@@ -262,6 +264,68 @@ def naive_reduce(p, basis):
             else:
                 terms.pop(nw, None)
     return NcPoly(terms)
+
+
+def twist_pair_clauses(lams, a_basis, b_basis):
+    """(dagger_checks, dagger_ok, c_twist_ok) of the twist theorem for tau = diag(lams), every ordered pair checked.
+
+    a_basis and b_basis are complete Groebner bases through degree 4 of the
+    twisted algebra A and of the commutative algebra B, and normal forms
+    are taken with `naive_reduce`.  With mu_ij = lambda_j / lambda_i and
+    nu(i, j, k, p) = mu_ik^2 mu_jp^2:
+    - dagger: r_ij = NF_A(lambda_i x_i x_j + lambda_j x_j x_i) for i <= j;
+      for every ordered pair of nonzero r1, r2, r1 r2 - nu r2 r1 must
+      reduce to 0;
+    - C side: c_ij = NF_B(tau(x_i x_j + x_j x_i)) must equal lambda_i
+      lambda_j NF_B(x_i x_j + x_j x_i), and for every ordered pair of pairs
+      c_ij (lambda_k^2 lambda_p^2 c_kp) - nu(i, j, k, p) c_kp
+      (lambda_i^2 lambda_j^2 c_ij) must reduce to 0.
+    """
+    n = len(lams)
+    lams = [Fraction(v) for v in lams]
+    a_basis = [g for g in a_basis if len(g.lead_word()) <= 4]
+    b_basis = [g for g in b_basis if len(g.lead_word()) <= 4]
+
+    def mu(i, j):
+        return lams[j] / lams[i]
+
+    def nu(i, j, k, p):
+        return mu(i, k) ** 2 * mu(j, p) ** 2
+
+    def x(i):
+        return NcPoly.generator(i)
+
+    def tau(p):
+        terms = {}
+        for w, c in p.terms.items():
+            for letter in w:
+                c *= lams[letter]
+            terms[w] = c
+        return NcPoly(terms)
+
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    r = {(i, j): naive_reduce(x(i) * x(j) * lams[i] + x(j) * x(i) * lams[j], a_basis) for i, j in pairs}
+    nonzero = [ij for ij in pairs if r[ij]]
+    dagger_checks = []
+    for (i, j) in nonzero:
+        for (k, p) in nonzero:
+            delta = r[i, j] * r[k, p] - (r[k, p] * r[i, j]).scale(nu(i, j, k, p))
+            dagger_checks.append(((i, j, k, p), not naive_reduce(delta, a_basis)))
+    c_twist_ok = True
+    c = {}
+    for (i, j) in pairs:
+        e = x(i) * x(j) + x(j) * x(i)
+        e_nf = naive_reduce(e, b_basis)
+        c[i, j] = naive_reduce(tau(e), b_basis)
+        if e_nf and c[i, j] != e_nf.scale(lams[i] * lams[j]):
+            c_twist_ok = False
+    for (i, j) in pairs:
+        for (k, p) in pairs:
+            lhs = c[i, j] * c[k, p].scale(lams[k] ** 2 * lams[p] ** 2)
+            rhs = (c[k, p] * c[i, j].scale(lams[i] ** 2 * lams[j] ** 2)).scale(nu(i, j, k, p))
+            if naive_reduce(lhs - rhs, b_basis):
+                c_twist_ok = False
+    return dagger_checks, all(ok for _, ok in dagger_checks), c_twist_ok
 
 
 def leibniz_det(grid, nvars):

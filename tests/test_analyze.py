@@ -3,9 +3,10 @@ import math
 import random
 import time
 from fractions import Fraction
+from importlib import resources
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import skewclifford as sk
@@ -23,13 +24,14 @@ from skewclifford.analyze import (
     verify_twist_from_gsca,
     verify_twist_theorem,
 )
+from skewclifford.cli import main
 from skewclifford.exact import ParamPoly
 from skewclifford.freealg import NcPoly
 from skewclifford.rewrite import DegreeBoundError, groebner, normal_form
-from skewclifford.twist import DiagonalAutomorphism, mu_from_lambdas
+from skewclifford.twist import DiagonalAutomorphism, mu_from_lambdas, twist_presentation
 
 from conftest import NONZERO_SMALL, example21_matrices, example21_mu, random_gca, random_mu, random_mu_symmetric
-from oracles import leibniz_det, local_rank
+from oracles import leibniz_det, local_rank, twist_pair_clauses
 
 
 def quantum_pair():
@@ -532,6 +534,22 @@ BPF_WARNING = "quadric system of B not verified base-point-free; theorem hypothe
 TAU_WARNING = "tau is not an automorphism of B; theorem hypotheses not established"
 
 
+@st.composite
+def gca_grids_and_tau(draw):
+    """Symmetric integer grids for a GCA at n = 2..4, a diagonal tau and a bound 4..6; the grids may be dependent."""
+    n = draw(st.integers(2, 4))
+    entry = st.sampled_from((0, 1, -1, 2, -2))
+    grids = []
+    for _ in range(n):
+        grid = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                grid[i][j] = grid[j][i] = draw(entry)
+        grids.append(grid)
+    lams = tuple(draw(st.sampled_from(NONZERO_SMALL)) for _ in range(n))
+    return grids, DiagonalAutomorphism(lams), draw(st.integers(4, 6))
+
+
 class TestVerifyTwistTheorem:
     def test_n2_hand_instance(self):
         report = verify_twist_theorem(diag_grids(2), DiagonalAutomorphism((1, 2)), 8)
@@ -649,6 +667,42 @@ class TestVerifyTwistTheorem:
             for q in y_vals:
                 assert sk.solve_in_span(vec(q), [vec(p) for p in r_vals]) is not None
 
+    def test_pair_clauses_match_the_ordered_pair_oracle(self):
+        outcomes = set()
+
+        # only e_11 and e_13 fail to commute: the first and third pair sums, so no adjacent pair fails
+        far_apart = [[[1, 0, 0], [0, 0, 0], [0, 0, 0]], [[2, 2, 0], [2, 2, 0], [0, 0, 0]], [[0, 0, 1], [0, 0, 0], [1, 0, 0]]]
+
+        @settings(max_examples=80)
+        @given(gca_grids_and_tau())
+        @example((far_apart, DiagonalAutomorphism((1, 2, -1)), 4))
+        def check(data):
+            grids, tau, through = data
+            try:
+                B = sk.build_gca(grids)
+            except ValueError:  # dependent grids
+                assume(False)
+            report = verify_twist_theorem(grids, tau, through)
+            # A as the twist of B, not from the scaled matrices the pipeline builds it from
+            A = twist_presentation(B.presentation(), tau)
+            expected = twist_pair_clauses(tau.lambdas, groebner(A, 4).elements, B.groebner(4).elements)
+            assert (report.dagger_checks, report.dagger_ok, report.c_twist_ok) == expected
+            outcomes.update({("dagger", report.dagger_ok), ("c-twist", report.c_twist_ok)})
+
+        check()
+        assert outcomes == {(clause, ok) for clause in ("dagger", "c-twist") for ok in (True, False)}
+
+    def test_each_unordered_pair_is_normal_formed_once(self, monkeypatch, capsys):
+        # diag3.json has 3 nonzero r elements and 6 pair sums: 3 dagger and 15
+        # C-side normal forms, where checking every ordered pair would make 135 calls in all
+        calls = []
+        original = analyze_module.normal_form
+        monkeypatch.setattr(analyze_module, "normal_form", lambda *a: calls.append(1) or original(*a))
+        path = str(resources.files("skewclifford").joinpath("fixtures/diag3.json"))
+        assert main(["verify-theorem", path]) == 0
+        capsys.readouterr()
+        assert len(calls) == 102
+
     def test_requires_bound_four(self):
         with pytest.raises(ValueError, match=">= 4"):
             verify_twist_theorem(diag_grids(2), DiagonalAutomorphism((1, 2)), 3)
@@ -698,3 +752,4 @@ class TestVerifyTwistTheorem:
         ]
         report = verify_twist_theorem(grids, DiagonalAutomorphism((1, 1, 1)), 6)
         assert report.warnings
+        assert report.c_twist_ok is False  # x1x2 + x2x1 and x1x3 + x3x1 do not commute in B

@@ -270,6 +270,16 @@ class TestMain:
         assert main(["nf", fixture_path("example21.json"), "x9"]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_deeply_nested_spec_is_an_input_error(self, tmp_path):
+        # the JSON decoder recurses once per level and raises RecursionError past the interpreter's limit
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(skewclifford.__file__))}
+        argv = [sys.executable, "-m", "skewclifford.cli", "build", str(path)]
+        done = subprocess.run(argv, env=env, capture_output=True, text=True)
+        assert done.returncode == 2
+        assert done.stderr == "error: invalid JSON: nesting too deep\n"  # one line, no traceback
+
     def test_json_format(self, capsys):
         assert main(["build", fixture_path("example21.json"), "--format", "json"]) == 0
         data = json.loads(capsys.readouterr().out)
@@ -395,6 +405,56 @@ REPORT_DIGESTS = {
 def test_report_digest(command, name, capsys):
     head, *flags = command.split()
     assert report_digest([head, fixture_path(name), *flags], capsys) == REPORT_DIGESTS[(command, name)]
+
+
+# verify-theorem specs whose clauses fail, at bound 6: the triangular forms
+# of perfbench's generator (seed 1, n = 4) with a tau that is not an
+# automorphism of B (dagger FAILs), and forms with a common base point
+# (c-twist FAILs)
+THEOREM_SPECS = {
+    "triangular-n4": {
+        "kind": "gca",
+        "n": 4,
+        "forms": [
+            [["3", "1", "-2", "0"], ["1", "-2", "0", "0"], ["-2", "0", "0", "2"], ["0", "0", "2", "0"]],
+            [["0", "0", "0", "0"], ["0", "-1", "-2", "0"], ["0", "-2", "-2", "0"], ["0", "0", "0", "0"]],
+            [["0", "0", "0", "0"], ["0", "0", "0", "0"], ["0", "0", "-3/2", "-2"], ["0", "0", "-2", "2"]],
+            [["0", "0", "0", "0"], ["0", "0", "0", "0"], ["0", "0", "0", "0"], ["0", "0", "0", "1/3"]],
+        ],
+        "tau": ["2", "3", "-1", "1/2"],
+    },
+    "base-points": {
+        "kind": "gca",
+        "n": 3,
+        "forms": [
+            [["2", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]],
+            [["0", "1", "0"], ["1", "0", "0"], ["0", "0", "0"]],
+            [["0", "0", "1"], ["0", "0", "0"], ["1", "0", "0"]],
+        ],
+        "tau": ["1", "1", "1"],
+    },
+}
+
+# report_digest of verify-theorem on every fixture and on THEOREM_SPECS
+THEOREM_DIGESTS = {
+    "example21.json": "720c14c824d7b9b0",
+    "diag2.json": "71a50de42301d924",
+    "diag3.json": "593b36ad5ca51e19",
+    "qplane3.json": "ab8e1ecaaf31fbd7",
+    "triangular-n4": "aab70a73cc65a3ff",
+    "base-points": "57b70b45e1f79365",
+}
+
+
+@pytest.mark.parametrize("name", sorted(THEOREM_DIGESTS))
+def test_theorem_report_digest(name, tmp_path, capsys):
+    if name in THEOREM_SPECS:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(THEOREM_SPECS[name]))
+        argv, code = [str(path), "--max-deg", "6"], 1
+    else:
+        argv, code = [fixture_path(name)], int(name == "example21.json")
+    assert report_digest(["verify-theorem", *argv], capsys, code) == THEOREM_DIGESTS[name]
 
 
 def _grid(n, entries, default="0"):

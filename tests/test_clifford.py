@@ -421,6 +421,30 @@ class TestNormalizingGca:
         assert main(["regular", self.diag3_path(), "--max-deg", "2"]) == 2
         assert "degree 3 exceeds completeness bound 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n", [9, 10, 11, 12])
+    def test_settled_systems_pass_past_the_form_cap(self, n, tmp_path, capsys):
+        # more forms than MAX_PERMUTATION_FORMS, each settled by the skew-ring rule: no search runs
+        assert n > clifford.MAX_PERMUTATION_FORMS
+        forms = [[["2" if i == j == k else "0" for j in range(n)] for i in range(n)] for k in range(n)]
+        path = tmp_path / "diag.json"
+        path.write_text(json.dumps({"kind": "gca", "n": n, "forms": forms}))
+        assert main(["regular", str(path), "--format", "json"]) == 0
+        evidence = json.loads(capsys.readouterr().out)["evidence"]
+        assert evidence["order"] == list(range(1, n + 1))
+        assert evidence["hilbert_computed"] == [math.comb(n - 1 + d, d) for d in range(2 * n + 3)]
+
+    def test_an_unsettled_form_past_the_cap_exits_two(self, tmp_path, capsys):
+        # mu_12 = 2 tells z1^2 and z3^2 apart under z2, so the first form needs the search
+        n = clifford.MAX_PERMUTATION_FORMS + 1
+        mu = [["1"] * n for _ in range(n)]
+        mu[0][1], mu[1][0] = "2", "1/2"
+        forms = [[["1" if i == j == k else "0" for j in range(n)] for i in range(n)] for k in range(n)]
+        forms[0][2][2] = "1"
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps({"kind": "gsca", "n": n, "mu": mu, "forms": forms}))
+        assert main(["regular", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: permutation search capped at {n - 1} forms\n"
+
 
 @st.composite
 def quadric_systems(draw):

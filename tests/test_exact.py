@@ -1,5 +1,6 @@
 import itertools
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -178,6 +179,12 @@ class TestEchelon:
         ech.add([3, 3, 0])
         # the second row is reduced against the first before it is stored
         assert ech.rows == {1: {1: 1, 2: 2}, 0: {0: 1, 2: -2}}
+
+    def test_a_mapping_that_is_not_a_dict_is_read_by_column(self):
+        # read as a sequence, the proxy would give its keys at positions 0 and 1
+        ech = Echelon()
+        assert ech.add(types.MappingProxyType({2: 4, 5: 2}))
+        assert ech.rows == {2: {2: 1, 5: Fraction(1, 2)}}
 
     def test_reduced_of_no_rows_and_zero_rows(self):
         assert Echelon().reduced() == {}
