@@ -122,12 +122,43 @@ class SubalgebraBasis:
 def subalgebra_basis(gb: GroebnerData, generators: Sequence[NcPoly], through: int) -> SubalgebraBasis:
     """Degreewise spans of products of the generators, degree by degree.
 
-    Degree 2m is spanned by the chosen degree-(2m-2) basis times the
-    generators, so only those products are normal-formed.  A maximal
-    independent subset is kept by first-come pivoting in (prefix, generator)
-    order.  This picks the same elements as running over every length-m
-    word in the generators: a word whose prefix was not chosen gives a
-    combination of earlier products, so it would not be chosen either.
+    Write g_w = g_w1 ... g_wm for a word w in the generator indices, and
+    order the words of one length lexicographically.  Degree 2m is spanned
+    by the chosen degree-(2m-2) basis times the generators, so only those
+    products are normal-formed.  A maximal independent subset is kept by
+    first-come pivoting in (prefix, generator) order, which is lex order of
+    the words.  This picks the same elements as running over every length-m
+    word: if the prefix u of uk was not chosen, NF(g_u) is a combination of
+    NF(g_v) over lex-earlier v, and vk < uk, so uk would not be chosen
+    either.
+
+    Sorted growth.  Degree 4 is grown in full.  If its products show that
+    the generators q-commute, NF(g_b g_a) = c_ab NF(g_a g_b) for every
+    a < b (c_ab may be 0; see `_q_commute`), each degree from 6 on forms
+    only value * g_k for k at least the last generator of value.  The
+    chosen elements stay the same, in the same order:
+    - Swapping a descent b > a of a word gives a lex-smaller word and
+      multiplies g_w by c_ab modulo the relations (NF is the normal form of
+      a two-sided ideal, complete through the bound).  So NF(g_w) =
+      c NF(g_sort(w)) with sort(w) <= w.  On sorted words, that is on
+      multisets, lex order is the reverse lex order of the exponent
+      vectors, so it is multiplicative: u < v gives sort(ut) < sort(vt).
+    - Hence an unsorted word is never chosen, the span of the words before
+      w equals the span of the sorted words before it, and first-come
+      pivoting over all words keeps exactly the sorted words independent
+      of the sorted words before them: the standard words (Kandri-Rody &
+      Weispfenning 1990).  They are an order ideal under prefixes, by the
+      argument above, so every standard word of length m is one of length
+      m - 1, chosen at degree 2m - 2, followed by a letter at least its
+      last: a formed product.  When every c_ab is nonzero they are also
+      closed under division: if t divides w and NF(g_t) is a combination
+      of earlier g_u, then NF(g_w), a nonzero multiple of NF(g_t g_t'), is
+      a combination of the NF(g_sort(ut')), and sort(ut') < w.
+    - A skipped product value * g_k, with k below the last letter of value,
+      has an unsorted word w.  NF(g_w) is a multiple of NF(g_sort(w)), a
+      combination of standard words at most sort(w) < w, which are all
+      formed before w.
+    If the test fails, every degree is grown in full.
     """
     gb.require(through)
     gens = []
@@ -140,16 +171,48 @@ def subalgebra_basis(gb: GroebnerData, generators: Sequence[NcPoly], through: in
         gens.append(g)
     per_degree: Dict[int, List[NcPoly]] = {d: [] for d in range(through + 1)}
     per_degree[0] = [NcPoly.one()]
+    level = [(NcPoly.one(), 0)]  # the last degree's chosen elements, each with the index of its last generator
+    sort = False
+    pairs = {}  # (a, k): NF(g_a g_k), kept at degree 4 for the q-commutation test
     for m in range(1, through // 2 + 1):
         span = Echelon()
-        chosen: List[NcPoly] = []
-        for value in per_degree[2 * m - 2]:
-            for g in gens:
-                prod = normal_form(value * g, gb)
+        chosen = []
+        for value, last in level:
+            for k in range(last if sort else 0, len(gens)):
+                prod = normal_form(value * gens[k], gb)
+                if m == 2:
+                    pairs[last, k] = prod
                 if span.add(prod.terms):
-                    chosen.append(prod)
-        per_degree[2 * m] = chosen
+                    chosen.append((prod, k))
+        per_degree[2 * m] = [prod for prod, _ in chosen]
+        level = chosen
+        if m == 2 and through >= 6:
+            sort = _q_commute(gens, pairs, gb)
     return SubalgebraBasis(gb, gens, per_degree)
+
+
+def _q_commute(gens: Sequence[NcPoly], pairs: Dict[Tuple[int, int], NcPoly], gb: GroebnerData) -> bool:
+    """Whether NF(g_b g_a) is a scalar multiple of NF(g_a g_b) for every a < b.
+
+    The scalar may be 0, and a zero NF(g_a g_b) needs a zero NF(g_b g_a).
+    `pairs` holds the degree-4 products NF(g_a g_b) whose first factor was
+    chosen at degree 2; a pair with another first factor is normal-formed
+    here.
+    """
+
+    def product(a, b):
+        if (a, b) not in pairs:
+            pairs[a, b] = normal_form(gens[a] * gens[b], gb)
+        return pairs[a, b]
+
+    for a, b in itertools.combinations(range(len(gens)), 2):
+        ab, ba = product(a, b), product(b, a)
+        # the only candidate scalar is read off any word of ab (0 when ab is zero)
+        w = next(iter(ab.terms), None)
+        c = ba.terms.get(w, 0) / ab.terms[w] if w is not None else 0
+        if ba != ab.scale(c):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -418,19 +481,19 @@ def _skew_poly_dims(n: int, through: int) -> Tuple[int, ...]:
 
 
 def nu_cocycle_holds(mu: MuMatrix) -> bool:
-    """Whether nu(i,j,k,p) * nu(k,p,a,b) = nu(i,j,a,b) for all indices, in O(n^3).
+    """Whether nu(i,j,k,p) * nu(k,p,a,b) = nu(i,j,a,b) for all indices, in O(n^2).
 
     With nu(i,j,k,p) = mu_ik^2 * mu_jp^2 the ratio of the two sides is
     s(i,k,a) * s(j,p,b), where s(i,k,a) = mu_ik^2 * mu_ka^2 / mu_ia^2 > 0.
     Taking (j,p,b) = (i,k,a) forces s(i,k,a)^2 = 1, so the n^6 identities
-    hold exactly when every s(i,k,a) is 1.
+    hold exactly when S_ik S_ka = S_ia for all i, k, a, with S = mu^2
+    entrywise.  Its n^2 cases k = 0, S_i0 S_0a = S_ia, imply the rest: they
+    give S_ik = S_i0 S_0k and S_ka = S_k0 S_0a, and S_0k S_k0 =
+    (mu_0k mu_k0)^2 = 1, so S_ik S_ka = S_i0 S_0a = S_ia.
     """
     n = mu.n
     squares = [[mu[i, k] ** 2 for k in range(n)] for i in range(n)]
-    return all(
-        squares[i][k] * squares[k][a] == squares[i][a]
-        for i, k, a in itertools.product(range(n), repeat=3)
-    )
+    return all(squares[i][0] * squares[0][a] == squares[i][a] for i in range(n) for a in range(n))
 
 
 def verify_twist_theorem(matrices: Sequence, tau: DiagonalAutomorphism, through: int) -> TheoremReport:

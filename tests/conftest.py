@@ -112,6 +112,64 @@ def random_gca(rng: random.Random, n: int = 3) -> "sk.CliffordPresentation":
             return pres
 
 
+TAU_STABLE_RECIPES = ("block-triangular", "dense")
+
+# lambda values with coincident weights: 1 * 1 = (-1) * (-1), 1 * 4 = 2 * 2 = (-2) * (-2),
+# so a weight class can hold squares or products from different blocks
+MIXED_LAMBDAS = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-2), Fraction(4))
+
+
+def tau_stable_gca(rng: random.Random, lams, recipe: str):
+    """Symmetric grids of a GCA whose forms each lie on one weight class of tau = diag(lams).
+
+    The variables of equal lambda form a block, and the monomial z_i z_j has
+    weight lambda_i lambda_j.  Form k lies on the weight class of z_k^2, so
+    tau scales it by lambda_k^2 and maps the relation span of B onto itself.
+    A class mixes blocks when lambda_i lambda_j = lambda_k^2 with i or j
+    outside k's block.
+    - "block-triangular": form k holds the monomials of its class on the
+      variables k..n, with a nonzero z_k^2 coefficient.  Inside one block
+      this is perfbench's triangular recipe, and the forms are independent
+      and have no common zero but the origin.
+    - "dense": form k fills its whole class with nonzero entries (0 drawn is
+      replaced by 1).  The forms may be dependent (`build_gca` then raises)
+      or have base points.
+    """
+    if recipe not in TAU_STABLE_RECIPES:
+        raise ValueError(f"unknown recipe {recipe!r}")
+    lams = [Fraction(v) for v in lams]
+    n = len(lams)
+    grids = []
+    for k in range(n):
+        weight = lams[k] ** 2
+        first = k if recipe == "block-triangular" else 0
+        g = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(first, n):
+            for j in range(i, n):
+                if lams[i] * lams[j] != weight:
+                    continue
+                if (i, j) == (k, k):
+                    v = Fraction(rng.choice(NONZERO_SMALL))
+                else:
+                    v = Fraction(rng.randint(-2, 2))
+                    if recipe == "dense" and not v:
+                        v = Fraction(1)
+                g[i][j] = g[j][i] = v
+        grids.append(g)
+    return grids
+
+
+def tau_stable_spec(seed: int, lams, recipe: str) -> dict:
+    """A `verify-theorem` spec file: `tau_stable_gca` drawn from random.Random(seed), and tau = diag(lams)."""
+    grids = tau_stable_gca(random.Random(seed), lams, recipe)
+    return {
+        "kind": "gca",
+        "n": len(lams),
+        "forms": [[[str(v) for v in row] for row in g] for g in grids],
+        "tau": [str(Fraction(v)) for v in lams],
+    }
+
+
 def random_degree_one(rng: random.Random, n: int) -> "sk.NcPoly":
     while True:
         p = sk.NcPoly({(i,): Fraction(rng.randint(-2, 2)) for i in range(n)})

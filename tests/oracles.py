@@ -11,9 +11,11 @@ re-sorting every term and scanning every leading word at each step,
 `leibniz_det` sums over permutations with its own polynomial arithmetic,
 `form_matrix` inverts the form of a mu-symmetric matrix by its entry
 formulas, `twist_pair_clauses` checks the dagger and C-side clauses of the
-twist theorem on every ordered pair, as stated, with `naive_reduce`, and
-`join_terms` renders coefficients through `Fraction`'s own abs, sign and
-text.
+twist theorem on every ordered pair, as stated, with `naive_reduce`,
+`full_growth` grows a subalgebra from every product with `naive_reduce` and
+`sparse_rref`, `nu_cocycle_cubic` tests the cocycle on every index triple,
+and `join_terms` renders coefficients through `Fraction`'s own abs, sign
+and text.
 """
 
 import itertools
@@ -326,6 +328,38 @@ def twist_pair_clauses(lams, a_basis, b_basis):
             if naive_reduce(lhs - rhs, b_basis):
                 c_twist_ok = False
     return dagger_checks, all(ok for _, ok in dagger_checks), c_twist_ok
+
+
+def full_growth(basis, generators, through):
+    """Degreewise bases {degree: [element]} of the subalgebra generated by degree-2 generators.
+
+    Every product is formed: degree 2m takes NF(value * g) for every value
+    kept at degree 2m - 2 and every nonzero generator g, in that order, and
+    keeps a product when it raises the rank of the products kept before it
+    (first-come pivoting).  Normal forms come from `naive_reduce` modulo
+    `basis`, a complete Groebner basis through `through`, and ranks from
+    `sparse_rref`.
+    """
+    gens = [g for g in (naive_reduce(g, basis) for g in generators) if g]
+    per_degree = {d: [] for d in range(through + 1)}
+    per_degree[0] = [NcPoly.one()]
+    for m in range(1, through // 2 + 1):
+        kept_rows = []
+        for value in per_degree[2 * m - 2]:
+            for g in gens:
+                prod = naive_reduce(value * g, basis)
+                if len(sparse_rref(kept_rows + [prod.terms])) > len(kept_rows):
+                    kept_rows.append(prod.terms)
+                    per_degree[2 * m].append(prod)
+    return per_degree
+
+
+def nu_cocycle_cubic(mu):
+    """Whether s(i,k,a) = mu_ik^2 mu_ka^2 / mu_ia^2 is 1 for every index triple: the n^3 form of the nu cocycle."""
+    n = mu.n
+    return all(
+        mu[i, k] ** 2 * mu[k, a] ** 2 == mu[i, a] ** 2 for i, k, a in itertools.product(range(n), repeat=3)
+    )
 
 
 def leibniz_det(grid, nvars):

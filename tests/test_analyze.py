@@ -30,8 +30,18 @@ from skewclifford.freealg import NcPoly
 from skewclifford.rewrite import DegreeBoundError, groebner, normal_form
 from skewclifford.twist import DiagonalAutomorphism, mu_from_lambdas, twist_presentation
 
-from conftest import NONZERO_SMALL, example21_matrices, example21_mu, random_gca, random_mu, random_mu_symmetric
-from oracles import leibniz_det, local_rank, twist_pair_clauses
+from conftest import (
+    MIXED_LAMBDAS,
+    NONZERO_SMALL,
+    TAU_STABLE_RECIPES,
+    example21_matrices,
+    example21_mu,
+    random_gca,
+    random_mu,
+    random_mu_symmetric,
+    tau_stable_gca,
+)
+from oracles import full_growth, leibniz_det, local_rank, nu_cocycle_cubic, twist_pair_clauses
 
 
 def quantum_pair():
@@ -178,6 +188,48 @@ class TestIsCentral:
             assert verdict.left[g] == unit and verdict.right[g] == unit
 
 
+# x1^2 and x2^2 in the free algebra on two letters, through 6: they do not q-commute
+FREE_SQUARES = (sk.PresentedAlgebra(2, []), [NcPoly({(0, 0): 1}), NcPoly({(1, 1): 1})], 6)
+# the same modulo x1 x2 = 0: g1 g2 = 0 but g2 g1 != 0, so they do not q-commute either
+ZERO_ONE_WAY = (sk.PresentedAlgebra(2, [NcPoly({(0, 1): 1})]), FREE_SQUARES[1], 6)
+
+
+@st.composite
+def subalgebra_inputs(draw):
+    """(twisted algebra A, degree-2 generators, bound) for `subalgebra_basis`.
+
+    B is diagonal, tau-stable (`tau_stable_gca`, both recipes, lambdas with
+    mixed classes), or triangular with a seeded tau that need not be an
+    automorphism of B.  A is the twist of B by tau, and the generators are
+    the squares r_kk or all pair elements r_ij = lambda_i x_i x_j + lambda_j
+    x_j x_i (dependent once there are more than n), perhaps with a zero
+    generator or a repeated one put in.
+    """
+    n = draw(st.sampled_from((4, 3, 2)))
+    kind = draw(st.sampled_from(("diagonal", "block-triangular", "dense", "triangular")))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    lams = tuple(draw(st.sampled_from(MIXED_LAMBDAS if kind in TAU_STABLE_RECIPES else NONZERO_SMALL)) for _ in range(n))
+    if kind == "diagonal":
+        grids = diag_grids(n)
+    elif kind == "triangular":  # one block: perfbench's triangular recipe
+        grids = tau_stable_gca(rng, (1,) * n, "block-triangular")
+    else:
+        grids = tau_stable_gca(rng, lams, kind)
+    try:
+        B = sk.build_gca(grids)
+    except ValueError:  # dependent forms
+        assume(False)
+    alg = twist_presentation(B.presentation(), DiagonalAutomorphism(lams))
+    x = NcPoly.generator
+    pairs = [(i, i) for i in range(n)] if draw(st.booleans()) else [(i, j) for i in range(n) for j in range(i, n)]
+    generators = [x(i) * x(j) * lams[i] + x(j) * x(i) * lams[j] for i, j in pairs]
+    extra = draw(st.sampled_from(("none", "zero", "repeat")))
+    if extra != "none":
+        at = draw(st.integers(0, len(generators)))
+        generators.insert(at, NcPoly.zero() if extra == "zero" else generators[draw(st.integers(0, len(generators) - 1))].scale(2))
+    return alg, generators, draw(st.sampled_from((8, 6, 4)))
+
+
 class TestSubalgebraBasis:
     def test_worked_example_degree_two(self, ex21):
         _, _, pres, gb = ex21
@@ -200,8 +252,11 @@ class TestSubalgebraBasis:
         assert all(a <= b for a, b in zip(small, large))
 
     def test_work_grows_with_the_chosen_basis(self, monkeypatch):
-        # products are formed only from the chosen lower-degree basis:
-        # 5 generators, then 5 * (1 + 5 + 15 + 35 + 70) products through degree 10
+        # products are formed only from the chosen lower-degree basis, and the
+        # diagonal generators q-commute, so from degree 6 on only sorted words:
+        # 5 generator normal forms, 5 at degree 2, 5 * 5 at degree 4, then the
+        # sorted words C(7, 3) = 35, C(8, 4) = 70 and C(9, 5) = 126 at degrees
+        # 6, 8 and 10 (full growth forms 5 + 5 * (1 + 5 + 15 + 35 + 70) = 635)
         pres = sk.build_gca(diag_grids(5))
         gb = pres.groebner(10)
         y = pres.y_normal_forms(gb)
@@ -213,7 +268,7 @@ class TestSubalgebraBasis:
 
         monkeypatch.setattr(analyze_module, "normal_form", counting)
         sub = subalgebra_basis(gb, y, 10)
-        assert len(calls) == 5 + 5 * 126
+        assert len(calls) == 5 + 5 + 25 + 35 + 70 + 126
         assert sub.dims() == (1, 0, 5, 0, 15, 0, 35, 0, 70, 0, 126)
 
     def test_zero_generators_skipped(self, ex21):
@@ -222,6 +277,69 @@ class TestSubalgebraBasis:
         with_zero = subalgebra_basis(gb, [NcPoly.zero()] + y, 4)
         without = subalgebra_basis(gb, y, 4)
         assert with_zero.dims() == without.dims()
+
+    def test_equals_full_growth(self, monkeypatch):
+        outcomes = set()
+        original = analyze_module._q_commute
+        monkeypatch.setattr(analyze_module, "_q_commute", lambda *a: outcomes.add(verdict := original(*a)) or verdict)
+
+        @settings(max_examples=60)
+        @given(subalgebra_inputs())
+        @example(FREE_SQUARES)
+        @example(ZERO_ONE_WAY)
+        def check(data):
+            alg, generators, through = data
+            gb = groebner(alg, through)
+            sub = subalgebra_basis(gb, generators, through)
+            assert sub.per_degree == full_growth(gb.elements, generators, through)
+
+        check()
+        assert outcomes == {True, False}
+
+    def test_generators_that_do_not_q_commute_grow_in_full(self):
+        # x1^2 and x2^2 in the free algebra: all 2^m words are independent,
+        # where sorted words alone would give m + 1
+        alg, generators, through = FREE_SQUARES
+        gb = groebner(alg, through)
+        pairs = {(a, b): normal_form(generators[a] * generators[b], gb) for a in range(2) for b in range(2)}
+        assert not analyze_module._q_commute(generators, pairs, gb)
+        assert subalgebra_basis(gb, generators, through).dims() == (1, 0, 2, 0, 4, 0, 8)
+
+    def test_q_commutation_takes_zero_scalars_and_dependent_generators(self, monkeypatch):
+        # modulo x2 x1 = 0, g = (x1^2, 2 x1^2, x2^2) has g2 g1 = g1 g2,
+        # g3 g1 = 0 * g1 g3 and g3 g2 = 0 * g2 g3; g2 is not chosen at degree
+        # 2, so the test normal-forms its pairs itself
+        alg = sk.PresentedAlgebra(2, [NcPoly({(1, 0): 1})])
+        gb = groebner(alg, 8)
+        g = [NcPoly({(0, 0): 1}), NcPoly({(0, 0): 2}), NcPoly({(1, 1): 1})]
+        outcomes = []
+        original = analyze_module._q_commute
+        monkeypatch.setattr(analyze_module, "_q_commute", lambda *a: outcomes.append(verdict := original(*a)) or verdict)
+        sub = subalgebra_basis(gb, g, 8)
+        assert outcomes == [True]
+        assert sub.per_degree == full_growth(gb.elements, g, 8)
+        assert sub.dims() == (1, 0, 2, 0, 3, 0, 4, 0, 5)
+        # a zero product must be matched by a zero product: with the dependent
+        # generator last, g3 g2 = 2 x1^2 x2^2 while g2 g3 = 0
+        assert not original([g[0], g[2], g[1]], {}, gb)
+
+    def test_products_formed_on_a_tau_stable_spec(self, monkeypatch):
+        # A = the twist of block-triangular tau-stable B at lambda = (1, 1, 1, 3, 3),
+        # through 12: R is a polynomial ring in the 5 y's, so after 5 generator
+        # normal forms, 5 at degree 2 and 5 * 5 at degree 4, each degree forms
+        # its sorted words, C(7, 3) = 35, C(8, 4) = 70, C(9, 5) = 126 and
+        # C(10, 6) = 210 (full growth: 5 + 5 * (1 + 5 + 15 + 35 + 70 + 126) = 1,265)
+        lams = (1, 1, 1, 3, 3)
+        mu = mu_from_lambdas(lams)
+        grids = tau_stable_gca(random.Random(1), lams, "block-triangular")
+        A = sk.build_gsca(mu, [sk.check_mu_symmetric([[lams[j] * g[i][j] for j in range(5)] for i in range(5)], mu) for g in grids])
+        gb = A.groebner(12)
+        y = A.y_normal_forms(gb)
+        calls = []
+        monkeypatch.setattr(analyze_module, "normal_form", lambda *a: calls.append(1) or normal_form(*a))
+        sub = subalgebra_basis(gb, y, 12)
+        assert sub.dims() == (1, 0, 5, 0, 15, 0, 35, 0, 70, 0, 126, 0, 210)
+        assert len(calls) == 5 + 5 + 25 + 35 + 70 + 126 + 210
 
 
 class TestNormalLocus:
@@ -629,6 +747,40 @@ class TestVerifyTwistTheorem:
             assert brute(mu) is expected
             assert nu_cocycle_holds(mu) is expected
 
+    def test_nu_cocycle_equals_the_cubic_check(self):
+        # mu_ij = +-lambda_j / lambda_i satisfies the cocycle (only squares
+        # enter); scaling one entry pair by v breaks it unless v^2 = 1
+        outcomes = set()
+
+        @settings(max_examples=120)
+        @given(
+            st.integers(1, 5).flatmap(
+                lambda n: st.tuples(
+                    st.lists(st.sampled_from(NONZERO_SMALL), min_size=n, max_size=n),
+                    st.lists(st.booleans(), min_size=n * n, max_size=n * n),
+                    st.none() | st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.sampled_from(NONZERO_SMALL)),
+                )
+            )
+        )
+        def check(data):
+            lams, flips, edit = data
+            n = len(lams)
+            grid = [[(-1 if flips[i * n + j] and i != j else 1) * lams[j] / lams[i] for j in range(n)] for i in range(n)]
+            for i in range(n):
+                for j in range(i):
+                    grid[i][j] = 1 / grid[j][i]
+            if edit is not None and edit[0] != edit[1]:
+                i, j, v = edit
+                grid[i][j] *= v
+                grid[j][i] /= v
+            mu = sk.validate_mu(grid)
+            expected = nu_cocycle_cubic(mu)
+            assert nu_cocycle_holds(mu) is expected
+            outcomes.add(expected)
+
+        check()
+        assert outcomes == {True, False}
+
     def test_n5_through_10_within_budget(self):
         start = time.perf_counter()
         report = verify_twist_theorem(diag_grids(5), DiagonalAutomorphism((1, 2, -1, 3, 1)), 10)
@@ -693,15 +845,58 @@ class TestVerifyTwistTheorem:
         assert outcomes == {(clause, ok) for clause in ("dagger", "c-twist") for ok in (True, False)}
 
     def test_each_unordered_pair_is_normal_formed_once(self, monkeypatch, capsys):
-        # diag3.json has 3 nonzero r elements and 6 pair sums: 3 dagger and 15
-        # C-side normal forms, where checking every ordered pair would make 135 calls in all
+        # diag3.json (n = 3, bound 8) has 6 r elements, 3 of them nonzero, and 6
+        # pair sums: 6 r elements + 9 normality + 3 dagger + 40 subalgebra
+        # (3 generators, 3 at degree 2, 3 * 3 at degree 4, then the sorted words
+        # C(5, 3) = 10 and C(6, 4) = 15) + 6 sums + 15 C-side pairs = 79.
+        # Growing R from every product made 102 calls (63 subalgebra calls,
+        # 3 + 3 * (1 + 3 + 6 + 10)), and checking every ordered pair as well 135.
         calls = []
         original = analyze_module.normal_form
         monkeypatch.setattr(analyze_module, "normal_form", lambda *a: calls.append(1) or original(*a))
         path = str(resources.files("skewclifford").joinpath("fixtures/diag3.json"))
         assert main(["verify-theorem", path]) == 0
         capsys.readouterr()
-        assert len(calls) == 102
+        assert len(calls) == 6 + 9 + 3 + 40 + 6 + 15
+
+    def test_tau_stable_b_passes_every_clause_when_regular(self):
+        # the theorem's setting: B regular and tau a diagonal automorphism of
+        # B; every form of `tau_stable_gca` lies on one weight class of tau
+        seen = set()
+
+        # the largest n and bound come first, where hypothesis draws most
+        @settings(max_examples=60)
+        @given(
+            st.sampled_from((4, 3, 2)).flatmap(
+                lambda n: st.tuples(
+                    st.lists(st.sampled_from(MIXED_LAMBDAS), min_size=n, max_size=n),
+                    st.sampled_from(TAU_STABLE_RECIPES),
+                    st.integers(0, 2**32),
+                    st.sampled_from((8, 6, 4)),
+                )
+            )
+        )
+        def check(data):
+            lams, recipe, seed, through = data
+            grids = tau_stable_gca(random.Random(seed), lams, recipe)
+            try:
+                B = sk.build_gca(grids)
+            except ValueError:  # dependent forms
+                assume(False)
+            regular = sk.regularity_verdict(B, through)
+            # a form of the class of z_k^2 holding a monomial off k's block
+            mixed = any(
+                grids[k][i][j] and {lams[i], lams[j]} != {lams[k]} for k, i, j in itertools.product(range(len(lams)), repeat=3)
+            )
+            seen.update({recipe, ("mixed", mixed)})
+            if regular.regular and regular.hilbert_ok:
+                seen.add("regular")
+                report = verify_twist_theorem(grids, DiagonalAutomorphism(lams), through)
+                assert report.passed, report
+                assert report.warnings == ()
+
+        check()
+        assert seen == {*TAU_STABLE_RECIPES, ("mixed", True), ("mixed", False), "regular"}
 
     def test_requires_bound_four(self):
         with pytest.raises(ValueError, match=">= 4"):

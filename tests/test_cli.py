@@ -17,7 +17,7 @@ from skewclifford import analyze, cli
 from skewclifford.cli import Flags, Report, SpecFileError, dispatch, emit_report, main, parse_spec
 from skewclifford.exact import Echelon
 
-from conftest import HASHSEED_SPEC
+from conftest import HASHSEED_SPEC, tau_stable_spec
 from oracles import skew_quotient_dims
 
 
@@ -433,6 +433,18 @@ THEOREM_SPECS = {
         ],
         "tau": ["1", "1", "1"],
     },
+    # tau-stable, non-diagonal B at lambda = (1, 1, 1, 3, 3): every clause passes,
+    # and R grows from sorted words from degree 6 on
+    "tau-stable-triangular-n5": tau_stable_spec(1, (1, 1, 1, 3, 3), "block-triangular"),
+    "tau-stable-dense-n5": tau_stable_spec(1, (1, 1, 1, 3, 3), "dense"),
+}
+
+# (--max-deg, exit code) of verify-theorem on each of THEOREM_SPECS
+THEOREM_RUNS = {
+    "triangular-n4": (6, 1),
+    "base-points": (6, 1),
+    "tau-stable-triangular-n5": (10, 0),
+    "tau-stable-dense-n5": (10, 0),
 }
 
 # report_digest of verify-theorem on every fixture and on THEOREM_SPECS
@@ -443,6 +455,8 @@ THEOREM_DIGESTS = {
     "qplane3.json": "ab8e1ecaaf31fbd7",
     "triangular-n4": "aab70a73cc65a3ff",
     "base-points": "57b70b45e1f79365",
+    "tau-stable-triangular-n5": "aba1c63536a8b3df",
+    "tau-stable-dense-n5": "38d7aad28d0b1253",
 }
 
 
@@ -451,7 +465,8 @@ def test_theorem_report_digest(name, tmp_path, capsys):
     if name in THEOREM_SPECS:
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(THEOREM_SPECS[name]))
-        argv, code = [str(path), "--max-deg", "6"], 1
+        max_deg, code = THEOREM_RUNS[name]
+        argv = [str(path), "--max-deg", str(max_deg)]
     else:
         argv, code = [fixture_path(name)], int(name == "example21.json")
     assert report_digest(["verify-theorem", *argv], capsys, code) == THEOREM_DIGESTS[name]
