@@ -469,10 +469,16 @@ class TheoremReport:
 
     @property
     def passed(self) -> bool:
-        if self.rejected or not self.criterion.is_twist:
-            return False
-        clauses = (self.normality_ok, self.dagger_ok, self.nu_cocycle, self.r_hilbert_ok, self.c_twist_ok)
-        return all(c is True for c in clauses)
+        """Whether the criterion and every clause hold; a rejected report runs no clause."""
+        clauses = (
+            self.construction_consistent,
+            self.normality_ok,
+            self.dagger_ok,
+            self.nu_cocycle,
+            self.r_hilbert_ok,
+            self.c_twist_ok,
+        )
+        return self.criterion.is_twist and all(c is True for c in clauses)
 
 
 def _skew_poly_dims(n: int, through: int) -> Tuple[int, ...]:

@@ -254,7 +254,7 @@ def _handle_build(spec, flags):
         "y_expressions": {f"y{k + 1}": poly_str(pres.y_expressions[k]) for k in range(spec.n)},
         "y_normal_forms": {f"y{k + 1}": poly_str(v) for k, v in enumerate(pres.y_normal_forms(gb))},
     }
-    return {"build": "PASS"}, evidence, True
+    return {"build": True}, evidence
 
 
 def _handle_gb(spec, flags):
@@ -269,19 +269,20 @@ def _handle_gb(spec, flags):
         "elements": elements,
         "count": len(elements),
     }
-    return {"groebner": "PASS"}, evidence, True
+    return {"groebner": True}, evidence
 
 
 def _handle_nf(spec, flags):
-    algebra = flags.algebra or "gsca"
-    pres, letter = _presentation_for(spec, algebra)
     if flags.poly is None:
         raise ValueError("nf needs a polynomial argument")
     p = _parse_element(spec, flags)
-    gb = groebner(pres, _bound(spec, flags))
+    algebra = flags.algebra or "gsca"
+    pres, letter = _presentation_for(spec, algebra)
+    # a normal form of degree d reads the basis through d alone
+    gb = groebner(pres, min(max(2, p.degree() or 0), _bound(spec, flags)))
     nf = normal_form(p, gb)
     evidence = {"algebra": algebra, "input": flags.poly, "normal_form": poly_str(nf, letter)}
-    return {"normal-form": "PASS"}, evidence, True
+    return {"normal-form": True}, evidence
 
 
 def _handle_hilbert(spec, flags):
@@ -291,7 +292,7 @@ def _handle_hilbert(spec, flags):
     gb = groebner(pres, bound)
     coeffs = hilbert_coeffs(gb, bound)
     evidence = {"algebra": algebra, "through": bound, "coefficients": coeffs}
-    return {"hilbert": "PASS"}, evidence, True
+    return {"hilbert": True}, evidence
 
 
 def _handle_dim(spec, flags):
@@ -300,7 +301,7 @@ def _handle_dim(spec, flags):
     gb = groebner(pres, _bound(spec, flags))
     verdict = finite_dim_check(gb)
     evidence = {"algebra": algebra, "dimension": verdict.dimension, "bound": verdict.bound}
-    return {"finite-dimensional": "PASS" if verdict.finite else "FAIL"}, evidence, verdict.finite
+    return {"finite-dimensional": verdict.finite}, evidence
 
 
 def _handle_bpf(spec, flags):
@@ -314,7 +315,7 @@ def _handle_bpf(spec, flags):
     verdict = base_point_free_check(system, bound)
     warning = None if normalizing else "system not verified normalizing; criterion applies to normalizing systems"
     evidence = {"dimension": verdict.dimension, "bound": verdict.bound, "warning": warning}
-    return {"base-point-free": "PASS" if verdict.base_point_free else "FAIL"}, evidence, verdict.base_point_free
+    return {"base-point-free": verdict.base_point_free}, evidence
 
 
 def _handle_normalizing(spec, flags):
@@ -323,19 +324,16 @@ def _handle_normalizing(spec, flags):
         "order": [i + 1 for i in verdict.order] if verdict.found else None,
         "orders_searched": verdict.searched,
     }
-    return {"normalizing": "PASS" if verdict.found else "FAIL"}, evidence, verdict.found
+    return {"normalizing": verdict.found}, evidence
 
 
 def _handle_regular(spec, flags):
     report = regularity_verdict(_build(spec), _bound(spec, flags))
-    verdicts = {
-        "normalizing": "PASS" if report.normalizing.found else "FAIL",
-        "base-point-free": "PASS" if report.base_points.base_point_free else "FAIL",
+    clauses = {
+        "normalizing": report.normalizing.found,
+        "base-point-free": report.base_points.base_point_free,
+        "hilbert": report.hilbert_ok,
     }
-    if report.hilbert_ok is None:
-        verdicts["hilbert"] = "SKIP"
-    else:
-        verdicts["hilbert"] = "PASS" if report.hilbert_ok else "FAIL"
     evidence = {
         "order": [i + 1 for i in report.normalizing.order] if report.normalizing.found else None,
         "quotient_dimension": report.base_points.dimension,
@@ -343,8 +341,7 @@ def _handle_regular(spec, flags):
         "hilbert_expected": list(report.hilbert_expected) if report.hilbert_expected else None,
         "hard_failure": report.hard_failure,
     }
-    passed = report.regular and report.hilbert_ok is True
-    return verdicts, evidence, passed
+    return clauses, evidence
 
 
 def _handle_twist_check(spec, flags):
@@ -358,7 +355,7 @@ def _handle_twist_check(spec, flags):
             "mu_ik": scalar_str(spec.mu[i, k]),
             "mu_ij*mu_jk": scalar_str(spec.mu[i, j] * spec.mu[j, k]),
         }
-    return {"twist-criterion": "PASS" if verdict.is_twist else "FAIL"}, evidence, verdict.is_twist
+    return {"twist-criterion": verdict.is_twist}, evidence
 
 
 def _handle_twist(spec, flags):
@@ -373,16 +370,22 @@ def _handle_twist(spec, flags):
         "inverse_applied": flags.inverse,
         "relations": [poly_str(r, letter) for r in twisted.relations],
     }
-    return {"twist": "PASS"}, evidence, True
+    return {"twist": True}, evidence
 
 
 def _element_verdict(spec, flags, command: str, check):
-    """check(element, basis, side) on the polynomial argument, for `normal` and `central`."""
+    """check(element, basis, side) on the polynomial argument, for `normal` and `central`.
+
+    The check reads the products of the element with the side elements, of
+    degree deg p + 1 on the ambient side and deg p + 2 on the y side, so the
+    basis is built through that degree (at least 2, for the y_k) alone.
+    """
     if flags.poly is None:
         raise ValueError(f"{command} needs a polynomial argument")
-    pres = _build(spec)
-    gb = pres.groebner(_bound(spec, flags))
     p = _parse_element(spec, flags)
+    pres = _build(spec)
+    reach = (p.degree() or 0) + (2 if flags.side == "y" else 1)
+    gb = pres.groebner(min(max(2, reach), _bound(spec, flags)))
     # the ambient side (None) is the degree-one generators
     return check(p, gb, pres.y_normal_forms(gb) if flags.side == "y" else None)
 
@@ -396,7 +399,7 @@ def _handle_normal(spec, flags):
     else:
         side_name, idx = verdict.witness
         evidence["witness"] = {"containment": side_name, "generator": idx + 1}
-    return {"normal": "PASS" if verdict.normal else "FAIL"}, evidence, verdict.normal
+    return {"normal": verdict.normal}, evidence
 
 
 def _handle_central(spec, flags):
@@ -404,7 +407,7 @@ def _handle_central(spec, flags):
     evidence: Dict[str, object] = {"element": flags.poly, "side": flags.side}
     if not verdict.central:
         evidence["witness"] = {"generator": verdict.witness + 1}
-    return {"central": "PASS" if verdict.central else "FAIL"}, evidence, verdict.central
+    return {"central": verdict.central}, evidence
 
 
 def _handle_normal_locus(spec, flags):
@@ -436,24 +439,7 @@ def _handle_normal_locus(spec, flags):
         "normal_points": sum(1 for p in report.points if p.normal),
         "not_normal_points": sum(1 for p in report.points if not p.normal),
     }
-    return {"normal-locus": "PASS"}, evidence, True
-
-
-def _theorem_verdicts(report) -> Dict[str, str]:
-    def mark(flag):
-        if flag is None:
-            return "SKIP"
-        return "PASS" if flag else "FAIL"
-
-    return {
-        "criterion": "PASS" if report.criterion.is_twist else "FAIL",
-        "construction": mark(report.construction_consistent),
-        "normality": mark(report.normality_ok),
-        "dagger": mark(report.dagger_ok),
-        "nu-cocycle": mark(report.nu_cocycle),
-        "r-hilbert": mark(report.r_hilbert_ok),
-        "c-twist": mark(report.c_twist_ok),
-    }
+    return {"normal-locus": True}, evidence
 
 
 def _handle_verify_theorem(spec, flags):
@@ -467,7 +453,15 @@ def _handle_verify_theorem(spec, flags):
         if flags.tau is not None or spec.tau is not None:
             tau = _tau_for(spec, flags)
         report = analyze.verify_twist_from_gsca(spec.mu, spec.forms, through, tau)
-    verdicts = _theorem_verdicts(report)
+    clauses = {
+        "criterion": report.criterion.is_twist,
+        "construction": report.construction_consistent,
+        "normality": report.normality_ok,
+        "dagger": report.dagger_ok,
+        "nu-cocycle": report.nu_cocycle,
+        "r-hilbert": report.r_hilbert_ok,
+        "c-twist": report.c_twist_ok,
+    }
     evidence: Dict[str, object] = {"through": through, "warnings": list(report.warnings)}
     if report.criterion.is_twist:
         evidence["lambdas"] = [scalar_str(v) for v in report.criterion.lambdas]
@@ -486,7 +480,7 @@ def _handle_verify_theorem(spec, flags):
         evidence["c_scalars"] = {
             _pair_label(i, j): scalar_str(v) for (i, j), v in sorted(report.c_scalars.items())
         }
-    return verdicts, evidence, report.passed
+    return clauses, evidence
 
 
 _HANDLERS = {
@@ -508,12 +502,20 @@ _HANDLERS = {
 
 
 def dispatch(command: str, spec: AlgebraSpecFile, flags: Flags) -> Report:
-    """Run one command against a parsed spec and assemble its report."""
+    """Run one command against a parsed spec and assemble its report.
+
+    Each handler returns (clauses, evidence), where clauses maps a clause
+    name to True, False or None (not run).  This is the one place that
+    renders them as PASS, FAIL and SKIP, and the report passes exactly when
+    every clause passes.
+    """
     if command not in _HANDLERS:
         raise ValueError(f"unknown command {command!r}")
     start = time.perf_counter()
-    verdicts, evidence, passed = _HANDLERS[command](spec, flags)
+    clauses, evidence = _HANDLERS[command](spec, flags)
     elapsed = (time.perf_counter() - start) * 1000.0
+    verdicts = {name: "SKIP" if held is None else "PASS" if held else "FAIL" for name, held in clauses.items()}
+    passed = all(verdict == "PASS" for verdict in verdicts.values())
     digest_src = spec.digest + json.dumps(flags.normalized(), sort_keys=True)
     digest = hashlib.sha256(digest_src.encode("utf-8")).hexdigest()
     return Report(command, digest, passed, verdicts, evidence, elapsed)

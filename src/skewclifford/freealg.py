@@ -241,74 +241,59 @@ _TOKEN_RE = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<gen>[A-Za-z]\d+)|(?P<op
 
 
 def parse_poly(text: str, n: int) -> NcPoly:
-    """Parse the rendering grammar back into an NcPoly.
+    """Parse the rendering grammar back into an NcPoly, e.g. "x1*x2 + 2*x2*x1 - x3^2".
 
-    Accepts any generator letter (x, z, X, Z, ...) with a 1-based index,
-    e.g. "x1*x2 + 2*x2*x1 - x3^2".
+    poly := [signs] term (signs term)*, term := factor ("*" factor)*,
+    factor := number | generator ["^" positive int].  A generator is any
+    letter (x, z, X, Z, ...) with a 1-based index.  Consecutive signs
+    multiply, so "x1 - -x2" is x1 + x2.  Blank text is 0.
     """
-    tokens = []
-    pos = 0
-    while pos < len(text):
+    tokens = []  # (kind, text), last token first, so that pop() takes the next one
+    pos, end = 0, len(text.rstrip())
+    while pos < end:
         m = _TOKEN_RE.match(text, pos)
         if not m:
-            if text[pos:].strip():
-                raise ValueError(f"cannot parse polynomial near {text[pos:pos+12]!r}")
-            break
+            raise ValueError(f"cannot parse polynomial near {text[pos:pos+12]!r}")
         pos = m.end()
-        if m.group("num"):
-            tokens.append(("num", m.group("num")))
-        elif m.group("gen"):
-            tokens.append(("gen", m.group("gen")))
-        else:
-            tokens.append(("op", m.group("op")))
+        tokens.append((m.lastgroup, m[m.lastgroup]))
+    tokens.reverse()
+
+    def next_is(*ops) -> bool:
+        return bool(tokens) and tokens[-1][1] in ops
+
+    def factor(word: list) -> Fraction:
+        """One factor: its coefficient, with a generator's letters put onto word."""
+        if not tokens:
+            raise ValueError("polynomial ends where a factor is expected")
+        kind, val = tokens.pop()
+        if kind == "num":
+            return parse_scalar(val)
+        if kind != "gen":
+            raise ValueError(f"expected a number or generator, found {val!r}")
+        index = int(val[1:]) - 1
+        if not 0 <= index < n:
+            raise ValueError(f"generator {val!r} out of range 1..{n}")
+        power = 1
+        if next_is("^"):
+            tokens.pop()
+            digits = tokens.pop()[1] if tokens else ""
+            if not digits.isdigit() or int(digits) < 1:
+                raise ValueError("exponent must be a positive integer")
+            power = int(digits)
+        word.extend([index] * power)
+        return Fraction(1)
 
     result = NcPoly.zero()
-    idx = 0
-    sign = Fraction(1)
-    first = True
-    while idx < len(tokens):
-        kind, val = tokens[idx]
-        if kind == "op" and val in "+-":
-            sign = Fraction(1) if val == "+" else Fraction(-1)
-            idx += 1
-            first = False
-            continue
-        if not first and tokens[idx - 1][0] != "op":
-            raise ValueError("missing operator between terms")
-        coeff = sign
-        word: list = []
-        expect_factor = True
-        while idx < len(tokens):
-            kind, val = tokens[idx]
-            if kind == "op" and val in "+-":
-                break
-            if kind == "op" and val == "*":
-                idx += 1
-                expect_factor = True
-                continue
-            if not expect_factor:
-                raise ValueError(f"unexpected token {val!r}")
-            if kind == "num":
-                coeff *= parse_scalar(val)
-                idx += 1
-            elif kind == "gen":
-                gen_idx = int(val[1:]) - 1
-                if not 0 <= gen_idx < n:
-                    raise ValueError(f"generator {val!r} out of range 1..{n}")
-                power = 1
-                idx += 1
-                if idx + 1 < len(tokens) and tokens[idx] == ("op", "^"):
-                    if tokens[idx + 1][0] != "num" or "/" in tokens[idx + 1][1]:
-                        raise ValueError("exponent must be a positive integer")
-                    power = int(tokens[idx + 1][1])
-                    if power < 1:
-                        raise ValueError("exponent must be a positive integer")
-                    idx += 2
-                word.extend([gen_idx] * power)
-            else:
-                raise ValueError(f"unexpected token {val!r}")
-            expect_factor = False
+    while tokens:
+        coeff, word = Fraction(1), []
+        while next_is("+", "-"):
+            if tokens.pop()[1] == "-":
+                coeff = -coeff
+        coeff *= factor(word)
+        while next_is("*"):
+            tokens.pop()
+            coeff *= factor(word)
         result = result + NcPoly.word(word, coeff)
-        sign = Fraction(1)
-        first = False
+        if tokens and not next_is("+", "-"):
+            raise ValueError(f"missing operator before {tokens[-1][1]!r}")
     return result

@@ -84,7 +84,7 @@ class PresentedAlgebra:
 
 
 class _LeadIndex:
-    """The rewriting rules of a set of monic polynomials, as primitive integer rows.
+    """The rewriting rules of a set of nonzero polynomials, as primitive integer rows.
 
     `by_lead` maps each leading word to its rule (s, tail) (the first one
     given when several share a leading word): tail maps the rule's other
@@ -104,8 +104,10 @@ class _LeadIndex:
         for g in basis:
             lw = g.lead_word()
             if lw not in self.by_lead:
-                scale, rest = int_scaled({w: c for w, c in g.terms.items() if w != lw})
-                self.add(lw, (scale, {w: -t for w, t in rest.items()}))
+                # the rule of g divided by its lead coefficient, which spans the same ideal
+                lc = g.terms[lw]
+                scale, rest = int_scaled({w: -c / lc for w, c in g.terms.items() if w != lw})
+                self.add(lw, (scale, rest))
 
     def add(self, lw: Word, rule: tuple) -> None:
         """Index the rule (s, tail) under a leading word that has none yet."""
@@ -216,7 +218,7 @@ def _reduce(rules: _LeadIndex, den: int, terms: Dict[Word, int]) -> Tuple[int, D
 
 
 def reduce_poly(p: NcPoly, basis: Union[Sequence[NcPoly], _LeadIndex]) -> NcPoly:
-    """Fully reduce p modulo a list (or lead index) of monic polynomials.
+    """Fully reduce p modulo a list (or lead index) of nonzero polynomials, each taken monic.
 
     A wrapper over the integer kernel `_reduce`, with its strategy: p's
     coefficients are scaled to ints over one denominator, and each word of

@@ -90,21 +90,22 @@ class TwistVerdict:
 
 
 def twist_criterion(mu: MuMatrix) -> TwistVerdict:
-    """Multiplicativity test mu_ik = mu_ij * mu_jk over all triples.
+    """Multiplicativity test mu_ik = mu_ij * mu_jk over all triples, in O(n^2).
 
-    On success the scalars lambda are normalized by lambda_1 = 1, and the
-    reconstruction mu_ij = lambda_j / lambda_i is verified entrywise.
+    A MuMatrix has mu_ii = 1 and mu_ij * mu_ji = 1.  The triples hold
+    exactly when mu_ik = mu_i0 * mu_0k for every i, k: those are the
+    triples with j = 0, and they imply the rest, since mu_ij * mu_jk =
+    mu_i0 * (mu_0j * mu_j0) * mu_0k = mu_i0 * mu_0k = mu_ik.  So lambda_j =
+    mu_0j (normalized by lambda_1 = 1) gives lambda_j / lambda_i =
+    mu_0j * mu_i0 = mu_ij.  On failure the triples are scanned in
+    `itertools.product` order, and the witness is the first that fails.
     """
     n = mu.n
-    for i, j, k in itertools.product(range(n), repeat=3):
-        if mu[i, k] != mu[i, j] * mu[j, k]:
-            return TwistVerdict(False, None, (i, j, k))
     lams = tuple(mu[0, j] for j in range(n))
-    for i in range(n):
-        for j in range(n):
-            if mu[i, j] != lams[j] / lams[i]:
-                raise AssertionError("scale reconstruction failed despite the triple test")
-    return TwistVerdict(True, lams, None)
+    if all(mu[i, k] == mu[i, 0] * lams[k] for i in range(n) for k in range(n)):
+        return TwistVerdict(True, lams, None)
+    triples = itertools.product(range(n), repeat=3)
+    return TwistVerdict(False, None, next((i, j, k) for i, j, k in triples if mu[i, k] != mu[i, j] * mu[j, k]))
 
 
 def mu_from_lambdas(lams: Sequence[Fraction]) -> MuMatrix:

@@ -13,7 +13,8 @@ re-sorting every term and scanning every leading word at each step,
 formulas, `twist_pair_clauses` checks the dagger and C-side clauses of the
 twist theorem on every ordered pair, as stated, with `naive_reduce`,
 `full_growth` grows a subalgebra from every product with `naive_reduce` and
-`sparse_rref`, `nu_cocycle_cubic` tests the cocycle on every index triple,
+`sparse_rref`, `nu_cocycle_cubic` tests the cocycle and `twist_witness_cubic` the twist
+criterion on every index triple,
 and `join_terms` renders coefficients through `Fraction`'s own abs, sign
 and text.
 """
@@ -360,6 +361,15 @@ def nu_cocycle_cubic(mu):
     return all(
         mu[i, k] ** 2 * mu[k, a] ** 2 == mu[i, a] ** 2 for i, k, a in itertools.product(range(n), repeat=3)
     )
+
+
+def twist_witness_cubic(mu):
+    """The first (i, j, k) in itertools.product order with mu_ik != mu_ij mu_jk, or None: the n^3 twist criterion."""
+    n = mu.n
+    for i, j, k in itertools.product(range(n), repeat=3):
+        if mu[i, k] != mu[i, j] * mu[j, k]:
+            return (i, j, k)
+    return None
 
 
 def leibniz_det(grid, nvars):

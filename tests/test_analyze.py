@@ -690,6 +690,15 @@ class TestVerifyTwistTheorem:
         assert all(v == 1 for v in report.normality_scalars.values())
         assert report.r_dims_computed == (1, 0, 3, 0, 6, 0, 10, 0, 15)
 
+    def test_a_failing_construction_fails_the_report(self, monkeypatch):
+        report = verify_twist_theorem(diag_grids(2), DiagonalAutomorphism((1, 2)), 8)
+        assert report.passed and report.construction_consistent
+        monkeypatch.setattr(analyze_module, "relation_span_equal", lambda *args: False)
+        report = verify_twist_theorem(diag_grids(2), DiagonalAutomorphism((1, 2)), 8)
+        assert report.construction_consistent is False
+        assert report.normality_ok and report.dagger_ok and report.r_hilbert_ok and report.c_twist_ok
+        assert not report.passed
+
     def test_rejects_worked_example(self):
         mu = example21_mu()
         report = verify_twist_from_gsca(mu, example21_matrices(mu), 8)

@@ -13,7 +13,7 @@ from importlib import resources
 import pytest
 
 import skewclifford
-from skewclifford import analyze, cli
+from skewclifford import analyze, cli, clifford, rewrite
 from skewclifford.cli import Flags, Report, SpecFileError, dispatch, emit_report, main, parse_spec
 from skewclifford.exact import Echelon
 
@@ -270,6 +270,44 @@ class TestMain:
         assert main(["nf", fixture_path("example21.json"), "x9"]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["nf", "normal", "central"])
+    @pytest.mark.parametrize("bad", ["x1 +", "*x1", "x1*", "x1**x2", "-", "x1 x2", "x9", "x1^0"])
+    def test_malformed_polynomial_exits_2_before_any_basis(self, command, bad, monkeypatch, capsys):
+        degrees = spy_groebner(monkeypatch)
+        assert main([command, fixture_path("example21.json"), bad]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert degrees == []
+
+    @pytest.mark.parametrize(
+        ("argv", "degree", "code"),
+        [
+            (["nf", "x1"], 2, 0),
+            (["nf", ""], 2, 0),
+            (["nf", "x1*x2*x3"], 3, 0),
+            (["nf", "x1^2*x2^3 + x3"], 5, 0),
+            (["nf", "x1^3*x2^3", "--max-deg", "5"], 5, 2),
+            (["normal", "x3"], 2, 0),
+            (["normal", "x3", "--side", "y"], 3, 0),
+            (["central", "3"], 2, 0),
+            (["central", "x1*x2"], 3, 1),
+            (["central", "x1*x2", "--side", "y"], 4, 1),
+            (["normal", "x1^4", "--max-deg", "4"], 4, 2),
+        ],
+    )
+    def test_element_basis_reaches_the_degree_the_check_reads(self, argv, degree, code, monkeypatch, capsys):
+        # deg p for nf, deg p + 1 (ambient) or + 2 (y) for normal and central; at least 2, at most the bound
+        degrees = spy_groebner(monkeypatch)
+        command, *rest = argv
+        assert main([command, fixture_path("example21.json"), *rest]) == code
+        capsys.readouterr()
+        assert degrees == [degree]
+
+    def test_a_failing_construction_fails_overall(self, monkeypatch, capsys):
+        monkeypatch.setattr(analyze, "relation_span_equal", lambda *args: False)
+        assert main(["verify-theorem", fixture_path("diag2.json")]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert "clause construction: FAIL" in out and "overall: fail" in out
+
     def test_deeply_nested_spec_is_an_input_error(self, tmp_path):
         # the JSON decoder recurses once per level and raises RecursionError past the interpreter's limit
         path = tmp_path / "deep.json"
@@ -284,6 +322,20 @@ class TestMain:
         assert main(["build", fixture_path("example21.json"), "--format", "json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["evidence"]["y_expressions"]["y3"] == "x3^2"
+
+
+def spy_groebner(monkeypatch):
+    """The max_degree of every Groebner basis built from now on, through the CLI's and clifford's imports."""
+    degrees = []
+    real = rewrite.groebner
+
+    def spy(alg, max_degree):
+        degrees.append(max_degree)
+        return real(alg, max_degree)
+
+    monkeypatch.setattr(cli, "groebner", spy)
+    monkeypatch.setattr(clifford, "groebner", spy)
+    return degrees
 
 
 def applicable_commands(name: str):
@@ -302,24 +354,29 @@ def applicable_commands(name: str):
         ("normal-locus", ["--grid", "1", "--max-deg", "4"]),
         ("verify-theorem", []),
     ]
-    if name != "example21.json":  # only fixtures carrying tau support the twist command
-        commands.append(("twist", []))
+    # only the fixtures carrying tau give the twist command its automorphism
+    commands.append(("twist", ["--tau", "1,2,2"] if name == "example21.json" else []))
     return commands
 
 
 class TestFixtureCorpus:
     @pytest.mark.parametrize("name", ALL_FIXTURES)
     def test_every_applicable_command_runs(self, name, capsys):
+        # every command runs, passes exactly when each of its verdicts is
+        # PASS, and exits 0 when it passes and 1 when it does not
         path = fixture_path(name)
-        for command, extra in applicable_commands(name):
+        commands = applicable_commands(name)
+        assert sorted(command for command, _ in commands) == sorted(cli._HANDLERS)
+        for command, extra in commands:
             args = [command, path]
             if extra and not extra[0].startswith("-"):
                 args.append(extra[0])
                 extra = extra[1:]
             args.extend(extra)
-            code = main(args)
-            assert code in (0, 1), f"{command} on {name} errored with {code}"
-            capsys.readouterr()
+            code = main([*args, "--format", "json"])
+            report = json.loads(capsys.readouterr().out)
+            assert report["passed"] is all(v == "PASS" for v in report["verdicts"].values()), command
+            assert code == (0 if report["passed"] else 1), f"{command} on {name} exited {code}"
 
 
 def report_digest(argv, capsys, code=0):

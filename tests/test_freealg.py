@@ -169,7 +169,34 @@ class TestPolyText:
         assert parse_poly("1/2*x1^3", 1) == NcPoly({(0, 0, 0): Fraction(1, 2)})
         assert parse_poly("-x1 + x2", 2) == NcPoly({(0,): -1, (1,): 1})
 
-    @pytest.mark.parametrize("bad", ["x0", "x4", "x1^0", "x1 x2", "x1^1/2", "1.5*x1", "&"])
+    @pytest.mark.parametrize(
+        ("text", "terms"),
+        [
+            ("", {}),
+            ("   ", {}),
+            ("x1 - - x2", {(0,): 1, (1,): 1}),
+            ("x1 - + x2", {(0,): 1, (1,): -1}),
+            ("--x1", {(0,): 1}),
+            ("x1 + -2*x2", {(0,): 1, (1,): -2}),
+            ("-3", {(): -3}),
+            ("2*x1*3*x2^2", {(0, 1, 1): 6}),
+            ("x1 ^ 2 - x1*x1", {}),
+            ("X1*z2 + x2*x1", {(0, 1): 1, (1, 0): 1}),
+        ],
+    )
+    def test_parse_table(self, text, terms):
+        # consecutive signs multiply; letters and blanks are free
+        assert parse_poly(text, 3) == NcPoly(terms)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            # rejected by the grammar as before
+            "x0", "x4", "x1^0", "x1 x2", "x1^1/2", "1.5*x1", "&", "2^3", "x1^x2",
+            # a sign or "*" with no factor after it, or a "*" with none before
+            "x1 +", "*x1", "x1*", "x1**x2", "-", "+ -", "x1^", "2 x1",
+        ],
+    )
     def test_parse_rejects(self, bad):
         with pytest.raises(ValueError):
             parse_poly(bad, 3)

@@ -537,6 +537,20 @@ class TestReducePoly:
         assert out == naive_reduce(p, basis)
         assert all(type(c) is Fraction for c in out.terms.values())
 
+    @PROPERTY
+    @given(reduction_problems(), st.lists(COPRIME, min_size=10, max_size=10))
+    def test_each_element_is_taken_monic(self, problem, scalars):
+        # c*g spans the same ideal as g, so the remainder is the same
+        p, basis = problem
+        assert len(basis) <= len(scalars)
+        scaled = [g.scale(c) for g, c in zip(basis, scalars)]
+        assert reduce_poly(p, scaled) == reduce_poly(p, basis)
+
+    def test_non_monic_element(self):
+        # x2*x1 = 1/2*x1*x2 modulo 2*x2*x1 - x1*x2
+        rule = NcPoly({(1, 0): 2, (0, 1): -1})
+        assert reduce_poly(NcPoly.word((1, 0)), [rule]) == NcPoly({(0, 1): Fraction(1, 2)})
+
     def test_strategy_rules(self):
         # x1*x2*x2 holds x1*x2 at position 0 and x2*x2 at position 1: the leftmost wins
         left = NcPoly({(0, 1): 1, (2,): -1})

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from skewclifford.twist import (
 )
 
 from conftest import NONZERO_SMALL, example21_mu
-from oracles import local_rank
+from oracles import local_rank, twist_witness_cubic
 
 
 def commutative_ring(n):
@@ -95,6 +96,48 @@ class TestTwistCriterion:
     def test_all_ones(self):
         verdict = twist_criterion(sk.MuMatrix.ones(3))
         assert verdict.is_twist and verdict.lambdas == (1, 1, 1)
+
+    def test_equals_the_cubic_check(self):
+        # mu_ij = lambda_j / lambda_i is of twist type; scaling one entry
+        # pair by v != 1, or drawing every pair at random, usually breaks it
+        outcomes = set()
+
+        @settings(max_examples=150)
+        @given(
+            st.integers(1, 5).flatmap(
+                lambda n: st.tuples(
+                    st.lists(st.sampled_from(NONZERO_SMALL), min_size=n * n, max_size=n * n),
+                    st.booleans(),
+                    st.none() | st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.sampled_from(NONZERO_SMALL)),
+                )
+            )
+        )
+        def check(data):
+            draws, from_lambdas, edit = data
+            n = math.isqrt(len(draws))
+            if from_lambdas:
+                grid = [[draws[j] / draws[i] for j in range(n)] for i in range(n)]
+            else:
+                grid = [[draws[i * n + j] if i < j else Fraction(1) for j in range(n)] for i in range(n)]
+                for i in range(n):
+                    for j in range(i):
+                        grid[i][j] = 1 / grid[j][i]
+            if edit is not None and edit[0] != edit[1]:
+                i, j, v = edit
+                grid[i][j] *= v
+                grid[j][i] /= v
+            mu = sk.validate_mu(grid)
+            verdict = twist_criterion(mu)
+            witness = twist_witness_cubic(mu)
+            assert verdict.is_twist is (witness is None)
+            assert verdict.witness == witness
+            if verdict.is_twist:
+                assert verdict.lambdas[0] == 1
+                assert all(mu[i, j] == verdict.lambdas[j] / verdict.lambdas[i] for i in range(n) for j in range(n))
+            outcomes.add(verdict.is_twist)
+
+        check()
+        assert outcomes == {True, False}
 
 
 class TestMuFromLambdas:
