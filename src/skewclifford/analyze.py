@@ -12,6 +12,8 @@ from .clifford import (
     CliffordPresentation,
     MuMatrix,
     MuSymmetricMatrix,
+    _pair_expression,
+    _pair_index,
     base_point_free_check,
     build_gsca,
     check_mu_symmetric,
@@ -430,6 +432,8 @@ class RElement:
 def build_r_elements(pres: CliffordPresentation, tau: DiagonalAutomorphism, gb: Optional[GroebnerData] = None) -> List[RElement]:
     """The twisted pair elements lambda_i x_i x_j + lambda_j x_j x_i, i <= j.
 
+    With mu_ij = lambda_j / lambda_i (checked here) that is lambda_i e_ij,
+    e_ij = x_i x_j + mu_ij x_j x_i, on the diagonal too (2 lambda_i x_i^2).
     Zero values (relations can kill a pair) are retained and flagged via
     is_zero so downstream checks can skip them while reporting the fact.
     """
@@ -439,12 +443,7 @@ def build_r_elements(pres: CliffordPresentation, tau: DiagonalAutomorphism, gb: 
     if gb is None:
         gb = pres.groebner(2)
     lams = tau.lambdas
-    out = []
-    for i in range(pres.n):
-        for j in range(i, pres.n):
-            raw = NcPoly.generator(i) * NcPoly.generator(j) * lams[i] + NcPoly.generator(j) * NcPoly.generator(i) * lams[j]
-            out.append(RElement(i, j, normal_form(raw, gb)))
-    return out
+    return [RElement(i, j, normal_form(_pair_expression(pres.mu, i, j).scale(lams[i]), gb)) for i, j in _pair_index(pres.n)]
 
 
 @dataclass
@@ -566,11 +565,12 @@ def verify_twist_theorem(matrices: Sequence, tau: DiagonalAutomorphism, through:
     nonzero = [r for r in r_elems if not r.is_zero]
 
     normality_ok = True
+    gens = [NcPoly.generator(k) for k in range(n)]
     for r in nonzero:
-        for k in range(n):
+        for k, x_k in enumerate(gens):
             scalar = mu[k, r.i] * mu[k, r.j]
             report.normality_scalars[(k, r.i, r.j)] = scalar
-            delta = NcPoly.generator(k) * r.value - (r.value * NcPoly.generator(k)).scale(scalar)
+            delta = x_k * r.value - (r.value * x_k).scale(scalar)
             if normal_form(delta, gb_a):
                 normality_ok = False
     report.normality_ok = normality_ok
@@ -593,12 +593,9 @@ def verify_twist_theorem(matrices: Sequence, tau: DiagonalAutomorphism, through:
     report.r_hilbert_ok = report.r_dims_computed == report.r_dims_expected
 
     gb_b = B.groebner(4)
-    sums = []
-    for i in range(n):
-        for j in range(i, n):
-            report.c_scalars[(i, j)] = lams[i] * lams[j]
-            x_i, x_j = NcPoly.generator(i), NcPoly.generator(j)
-            sums.append(normal_form(x_i * x_j + x_j * x_i, gb_b))
+    pairs = _pair_index(n)
+    report.c_scalars = {(i, j): lams[i] * lams[j] for i, j in pairs}
+    sums = [normal_form(_pair_expression(ones, i, j), gb_b) for i, j in pairs]
     report.c_twist_ok = not any(normal_form(e * f - f * e, gb_b) for e, f in itertools.combinations(sums, 2))
     report.warnings = tuple(warnings)
     return report

@@ -446,8 +446,7 @@ def _handle_verify_theorem(spec, flags):
     through = _bound(spec, flags)
     if spec.kind == "gca":
         tau = _tau_for(spec, flags)
-        grids = [[[m[i, j] for j in range(spec.n)] for i in range(spec.n)] for m in spec.forms]
-        report = analyze.verify_twist_theorem(grids, tau, through)
+        report = analyze.verify_twist_theorem([m.entries for m in spec.forms], tau, through)
     else:
         tau = None
         if flags.tau is not None or spec.tau is not None:

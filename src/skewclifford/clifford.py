@@ -14,7 +14,6 @@ from .rewrite import (
     GroebnerData,
     PresentedAlgebra,
     _check_generator_count,
-    _relation_key,
     finite_dim_check,
     groebner,
     hilbert_coeffs,
@@ -123,7 +122,7 @@ class QuadraticForm:
         self.coeffs = clean
 
     def as_ncpoly(self) -> NcPoly:
-        return NcPoly({(i, j): c for (i, j), c in self.coeffs.items()})
+        return NcPoly._make(dict(self.coeffs))
 
     def __eq__(self, other):
         return isinstance(other, QuadraticForm) and self.n == other.n and self.coeffs == other.coeffs
@@ -172,25 +171,30 @@ class QuadricSystem:
 class CliffordPresentation:
     """Quadratic x-presentation of a graded (skew) Clifford algebra.
 
-    Carries the defining mu-symmetric matrices, the eliminated quadratic
-    relations among the x generators, and the expressions of the degree-two
-    generators y_k in terms of the x's.
+    Carries the defining mu-symmetric matrices, the algebra on the
+    eliminated quadratic relations among the x generators (built, and so
+    cleaned, once), and the expressions of the degree-two generators y_k in
+    terms of the x's.
     """
 
-    __slots__ = ("mu", "matrices", "x_relations", "y_expressions")
+    __slots__ = ("mu", "matrices", "_algebra", "y_expressions")
 
     def __init__(self, mu, matrices, x_relations, y_expressions):
         self.mu = mu
         self.matrices = tuple(matrices)
-        self.x_relations = tuple(x_relations)
+        self._algebra = PresentedAlgebra(mu.n, x_relations)
         self.y_expressions = dict(y_expressions)
 
     @property
     def n(self) -> int:
         return self.mu.n
 
+    @property
+    def x_relations(self) -> Tuple[NcPoly, ...]:
+        return self._algebra.relations
+
     def presentation(self) -> PresentedAlgebra:
-        return PresentedAlgebra(self.n, self.x_relations)
+        return self._algebra
 
     def groebner(self, max_degree: int) -> GroebnerData:
         return groebner(self.presentation(), max_degree)
@@ -272,7 +276,7 @@ def build_gsca(mu: MuMatrix, matrices: Sequence[MuSymmetricMatrix]) -> CliffordP
         return sum((exprs[col - n].scale(c) for col, c in sorted(row.items()) if col >= n), NcPoly.zero())
 
     y_expressions = {k: combo(reduced[k]) for k in range(n)}
-    x_relations = sorted((combo(row).monic() for p, row in reduced.items() if p >= n), key=_relation_key)
+    x_relations = [combo(row) for p, row in reduced.items() if p >= n]
     return CliffordPresentation(mu, matrices, x_relations, y_expressions)
 
 

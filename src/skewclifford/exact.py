@@ -10,8 +10,6 @@ import re
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
-Scalar = Fraction
-
 _INT_RE = re.compile(r"^[+-]?\d+$")
 
 

@@ -48,12 +48,10 @@ Automorphism = Union[DiagonalAutomorphism, LinearMap]
 
 
 def _inverse_generator_images(phi: Automorphism, n: int):
-    if isinstance(phi, DiagonalAutomorphism):
-        if phi.n != n:
-            raise ValueError("automorphism size does not match the presentation")
-        return [NcPoly({(j,): 1 / phi.lambdas[j]}) for j in range(n)]
     if phi.n != n:
         raise ValueError("automorphism size does not match the presentation")
+    if isinstance(phi, DiagonalAutomorphism):
+        return [NcPoly({(j,): 1 / phi.lambdas[j]}) for j in range(n)]
     inv = phi.inverse()  # raises "singular map" when not invertible
     return [inv.image_of_generator(j) for j in range(n)]
 

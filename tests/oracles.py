@@ -10,7 +10,8 @@ degree), `naive_reduce` rewrites by
 re-sorting every term and scanning every leading word at each step,
 `leibniz_det` sums over permutations with its own polynomial arithmetic,
 `form_matrix` inverts the form of a mu-symmetric matrix by its entry
-formulas, `twist_pair_clauses` checks the dagger and C-side clauses of the
+formulas, `pair_elements` builds the twist theorem's r_ij and C-side sums from
+generator products, `twist_pair_clauses` checks the dagger and C-side clauses of the
 twist theorem on every ordered pair, as stated, with `naive_reduce`,
 `full_growth` grows a subalgebra from every product with `naive_reduce` and
 `sparse_rref`, `nu_cocycle_cubic` tests the cocycle and `twist_witness_cubic` the twist
@@ -269,6 +270,22 @@ def naive_reduce(p, basis):
     return NcPoly(terms)
 
 
+def pair_elements(lams):
+    """({(i, j): r_ij}, {(i, j): s_ij}) for i <= j, from generator products.
+
+    r_ij = lambda_i x_i x_j + lambda_j x_j x_i spans R in the twisted algebra
+    A, and s_ij = x_i x_j + x_j x_i, its value at lambda = 1, generates C in
+    the commutative algebra B.  Both are raw elements of the free algebra.
+    """
+    n = len(lams)
+    lams = [Fraction(v) for v in lams]
+    x = [NcPoly.generator(i) for i in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    r = {(i, j): x[i] * x[j] * lams[i] + x[j] * x[i] * lams[j] for i, j in pairs}
+    s = {(i, j): x[i] * x[j] + x[j] * x[i] for i, j in pairs}
+    return r, s
+
+
 def twist_pair_clauses(lams, a_basis, b_basis):
     """(dagger_checks, dagger_ok, c_twist_ok) of the twist theorem for tau = diag(lams), every ordered pair checked.
 
@@ -284,7 +301,6 @@ def twist_pair_clauses(lams, a_basis, b_basis):
       c_ij (lambda_k^2 lambda_p^2 c_kp) - nu(i, j, k, p) c_kp
       (lambda_i^2 lambda_j^2 c_ij) must reduce to 0.
     """
-    n = len(lams)
     lams = [Fraction(v) for v in lams]
     a_basis = [g for g in a_basis if len(g.lead_word()) <= 4]
     b_basis = [g for g in b_basis if len(g.lead_word()) <= 4]
@@ -295,9 +311,6 @@ def twist_pair_clauses(lams, a_basis, b_basis):
     def nu(i, j, k, p):
         return mu(i, k) ** 2 * mu(j, p) ** 2
 
-    def x(i):
-        return NcPoly.generator(i)
-
     def tau(p):
         terms = {}
         for w, c in p.terms.items():
@@ -306,8 +319,9 @@ def twist_pair_clauses(lams, a_basis, b_basis):
             terms[w] = c
         return NcPoly(terms)
 
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    r = {(i, j): naive_reduce(x(i) * x(j) * lams[i] + x(j) * x(i) * lams[j], a_basis) for i, j in pairs}
+    raw_r, sums = pair_elements(lams)
+    pairs = list(sums)
+    r = {ij: naive_reduce(raw_r[ij], a_basis) for ij in pairs}
     nonzero = [ij for ij in pairs if r[ij]]
     dagger_checks = []
     for (i, j) in nonzero:
@@ -317,7 +331,7 @@ def twist_pair_clauses(lams, a_basis, b_basis):
     c_twist_ok = True
     c = {}
     for (i, j) in pairs:
-        e = x(i) * x(j) + x(j) * x(i)
+        e = sums[i, j]
         e_nf = naive_reduce(e, b_basis)
         c[i, j] = naive_reduce(tau(e), b_basis)
         if e_nf and c[i, j] != e_nf.scale(lams[i] * lams[j]):

@@ -27,7 +27,8 @@ from skewclifford.analyze import (
 from skewclifford.cli import main
 from skewclifford.exact import ParamPoly
 from skewclifford.freealg import NcPoly
-from skewclifford.rewrite import DegreeBoundError, groebner, normal_form
+from skewclifford.clifford import _pair_expression
+from skewclifford.rewrite import DegreeBoundError, PresentedAlgebra, groebner, normal_form
 from skewclifford.twist import DiagonalAutomorphism, mu_from_lambdas, twist_presentation
 
 from conftest import (
@@ -41,7 +42,7 @@ from conftest import (
     random_mu_symmetric,
     tau_stable_gca,
 )
-from oracles import full_growth, leibniz_det, local_rank, nu_cocycle_cubic, twist_pair_clauses
+from oracles import full_growth, leibniz_det, local_rank, naive_reduce, nu_cocycle_cubic, pair_elements, twist_pair_clauses
 
 
 def quantum_pair():
@@ -647,6 +648,39 @@ class TestRElements:
         with pytest.raises(ValueError, match="mu/tau mismatch"):
             build_r_elements(pres, DiagonalAutomorphism((1, 2, 2)))
 
+    def test_pairs_match_the_generator_product_oracle(self):
+        # r_ij = lambda_i e_ij at mu_ij = lambda_j / lambda_i, and the C-side
+        # sums are e_ij at mu = 1, against the products that define them
+        zero_seen = set()
+
+        @settings(max_examples=40)
+        @given(gca_grids_and_tau())
+        def check(data):
+            grids, tau, _ = data
+            lams = tau.lambdas
+            n = len(lams)
+            mu = mu_from_lambdas(lams)
+            ones = sk.MuMatrix.ones(n)
+            try:
+                B = sk.build_gca(grids)
+                A = sk.build_gsca(mu, [sk.check_mu_symmetric([[lams[j] * g[i][j] for j in range(n)] for i in range(n)], mu) for g in grids])
+            except ValueError:  # dependent grids
+                assume(False)
+            raw_r, sums = pair_elements(lams)
+            gb_a, gb_b = A.groebner(2), B.groebner(2)
+            elems = build_r_elements(A, tau, gb_a)
+            assert [(r.i, r.j) for r in elems] == list(raw_r)
+            for r in elems:
+                assert _pair_expression(mu, r.i, r.j).scale(lams[r.i]) == raw_r[r.i, r.j]
+                assert r.value == naive_reduce(raw_r[r.i, r.j], gb_a.elements)
+                zero_seen.add(r.is_zero)
+            for (i, j), e in sums.items():
+                assert _pair_expression(ones, i, j) == e
+                assert normal_form(_pair_expression(ones, i, j), gb_b) == naive_reduce(e, gb_b.elements)
+
+        check()
+        assert zero_seen == {True, False}
+
 
 BPF_WARNING = "quadric system of B not verified base-point-free; theorem hypotheses not established"
 TAU_WARNING = "tau is not an automorphism of B; theorem hypotheses not established"
@@ -867,6 +901,18 @@ class TestVerifyTwistTheorem:
         assert main(["verify-theorem", path]) == 0
         capsys.readouterr()
         assert len(calls) == 6 + 9 + 3 + 40 + 6 + 15
+
+    def test_one_run_cleans_each_relation_list_once(self, monkeypatch, capsys):
+        # diag3.json: B and A clean their relations when built, B's quadric
+        # quotient cleans its forms, and the twist of B cleans its images;
+        # rebuilding the algebra on every presentation() call made it 5
+        calls = []
+        original = PresentedAlgebra._cleaned
+        monkeypatch.setattr(PresentedAlgebra, "_cleaned", lambda self, rels: calls.append(1) or original(self, rels))
+        path = str(resources.files("skewclifford").joinpath("fixtures/diag3.json"))
+        assert main(["verify-theorem", path]) == 0
+        capsys.readouterr()
+        assert len(calls) == 4
 
     def test_tau_stable_b_passes_every_clause_when_regular(self):
         # the theorem's setting: B regular and tau a diagonal automorphism of

@@ -202,6 +202,30 @@ class TestBuildGsca:
             assert sorted(pres.y_expressions) == [0, 1, 2]
 
 
+    def test_presentation_is_the_one_cleaned_algebra(self, monkeypatch):
+        # the presentation is built once, on the combinations build_gsca forms,
+        # and cleaned there alone: its relations are x_relations
+        inputs = []
+        original = PresentedAlgebra._cleaned
+        monkeypatch.setattr(PresentedAlgebra, "_cleaned", lambda self, rels: inputs.append(list(rels)) or original(self, rels))
+        rng = random.Random(12)
+        built = []
+        while len(built) < 6:
+            n = 2 + len(built) % 3
+            mu = random_mu(rng, n) if len(built) % 2 else sk.MuMatrix.ones(n)
+            try:
+                built.append(sk.build_gsca(mu, [random_mu_symmetric(rng, mu) for _ in range(n)]))
+            except ValueError:  # dependent matrices
+                continue
+            combinations = inputs[-1]
+            assert built[-1].x_relations == PresentedAlgebra(n, combinations).relations
+        built.append(random_gca(rng, 3))
+        for pres in built:
+            assert pres.presentation() is pres.presentation()
+            assert pres.presentation().relations is pres.x_relations
+        assert {pres.mu.is_ones() for pres in built} == {True, False}
+
+
 class TestBuildGca:
     def test_diagonal_three(self):
         pres = sk.build_gca([[[2 * (i == j == k) for j in range(3)] for i in range(3)] for k in range(3)])
