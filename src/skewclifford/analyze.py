@@ -264,6 +264,7 @@ def normal_locus_in_span(
     span_gens: Sequence[NcPoly],
     side_basis: Sequence[NcPoly],
     grid: Sequence[Tuple[Fraction, ...]],
+    every_minor: bool = False,
 ) -> LocusReport:
     """Normality of a = sum c_k span_gens[k] across a parameter grid.
 
@@ -285,9 +286,22 @@ def normal_locus_in_span(
     equal to the family's own column g is such a case, and a side made only
     of those builds no echelon at all.  When the columns
     alone are dependent, every minor is zero.  Only the remaining families
-    are expanded.  A point without a certificate is normal exactly when
-    every family not contained everywhere is contained there, which one
-    `Echelon` of that side's columns at the point decides.
+    are open.
+
+    A point's certificate is the first listed minor nonzero there.  The
+    list starts empty, or with `every_minor` as every nonzero minor of the
+    open families with independent columns.  A point that no listed minor
+    certifies runs one `Echelon` per open side of its columns at the point.
+    It is normal exactly when every open family is contained there.  When an
+    open family's augmented column leaves a residual while the s columns
+    are independent there, the (s+1)-minor on the echelon's s pivot words
+    and the residual's lowest word is listed and certifies the point: that
+    submatrix is triangular on its pivots, so the minor is nonzero there,
+    and with its rows in deglex order it is the exhaustive list's minor on
+    that row set.  Every open family on both sides is tried before a point
+    is left without one.  So a point has a certificate exactly when some
+    family has rank s + 1 there, whichever list is kept, and under
+    `every_minor` none is ever appended.
     """
     gens = [normal_form(g, gb) for g in span_gens]
     side = [normal_form(g, gb) for g in side_basis]
@@ -327,7 +341,17 @@ def normal_locus_in_span(
     units = [tuple(1 if t == k else 0 for t in range(m)) for k in range(m)]
 
     minors: List[MinorRecord] = []
-    open_sides = []  # (columns, augmented columns, families not contained everywhere) per side
+    # each listed minor's coefficients scaled to ints (scaling does not move
+    # its zeros), over the slots of one table of monomial values per point
+    slot: Dict[tuple, int] = {}
+    scaled_minors = []
+
+    def listed(record: MinorRecord):
+        minors.append(record)
+        _, ints = int_scaled(record.poly.terms)
+        scaled_minors.append([(slot.setdefault(e, len(slot)), c) for e, c in ints.items()])
+
+    open_sides = []  # (side name, columns, augmented columns, families not contained everywhere) per side
     for side_name, col_flats, aug_flats in (("left", a_side, side_a), ("right", side_a, a_side)):
         # a family whose aug equals its own column g is contained at every
         # point, and every minor is zero; a side without another family
@@ -341,9 +365,9 @@ def normal_locus_in_span(
         # so is a family whose aug reduces to zero: aug = sum lambda_h col_h
         open_g = [g for g in differing if columns.reduce(aug_flats[g])]
         if open_g:
-            open_sides.append((col_flats, aug_flats, open_g))
-        if len(columns) < s:
-            continue  # dependent columns: every minor zero
+            open_sides.append((side_name, col_flats, aug_flats, open_g))
+        if not every_minor or len(columns) < s:
+            continue  # listed on demand, or dependent columns: every minor zero
         col_cells = [_cells(flat, variables, units) for flat in col_flats]
         for g in open_g:
             cells = [*col_cells, _cells(aug_flats[g], variables, units)]
@@ -353,38 +377,39 @@ def normal_locus_in_span(
                 rows = [[column.get(w, 0) for column in cells] for w in words]
                 for poly in parametric_minors(ExactMatrix(rows), s + 1):
                     if poly:
-                        minors.append(MinorRecord(side_name, g, poly))
-
-    # Certificates: each minor over one table of monomial values, with its
-    # coefficients scaled to ints (scaling does not move its zeros).
-    monomials = sorted({e for record in minors for e in record.poly.terms})
-    slot = {e: j for j, e in enumerate(monomials)}
-    scaled_minors = []
-    for record in minors:
-        _, ints = int_scaled(record.poly.terms)
-        scaled_minors.append([(slot[e], c) for e, c in ints.items()])
+                        listed(MinorRecord(side_name, g, poly))
 
     points: List[PointVerdict] = []
     for point in grid:
         values = [v.numerator if v.denominator == 1 else v for v in point]
         certificate = None
         if minors:
-            table = [math.prod(v**e for v, e in zip(values, exp)) for exp in monomials]
+            table = [math.prod(v**e for v, e in zip(values, exp)) for exp in slot]
             certificate = next(
                 (idx for idx, terms in enumerate(scaled_minors) if sum(c * table[j] for j, c in terms)), None
             )
-        if certificate is not None:
-            points.append(PointVerdict(point, False, certificate))
-            continue
-        normal = True
-        for col_flats, aug_flats, open_g in open_sides:
+        normal = certificate is None
+        for side_name, col_flats, aug_flats, open_g in open_sides:
+            if certificate is not None:
+                break
             span = Echelon()
             for flat in col_flats:
                 span.add(_at_point(flat, values))
-            if any(span.reduce(_at_point(aug_flats[g], values)) for g in open_g):
-                normal = False
-                break
-        points.append(PointVerdict(point, normal, None))
+            independent = len(span) == s
+            if not (normal or independent):
+                continue  # already not normal, and no certificate on this side
+            for g in open_g:
+                residual = span.reduce(_at_point(aug_flats[g], values))
+                if residual:
+                    normal = False
+                    if independent:
+                        words = sorted([*span.rows, min(residual)], key=word_key)
+                        cells = [_cells(flat, variables, units) for flat in (*col_flats, aug_flats[g])]
+                        rows = [[column.get(w, 0) for column in cells] for w in words]
+                        certificate = len(minors)
+                        listed(MinorRecord(side_name, g, parametric_minors(ExactMatrix(rows), s + 1)[0]))
+                    break
+        points.append(PointVerdict(point, normal, certificate))
     return LocusReport(variables, tuple(minors), tuple(points))
 
 

@@ -146,10 +146,11 @@ class Flags:
     poly: Optional[str] = None
     side: str = "ambient"
     inverse: bool = False
+    every_minor: bool = False
 
     def normalized(self) -> dict:
-        """The digest input: every flag except the output format."""
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "fmt"}
+        """The digest input: every flag except the two that only shape the output, the format and --every-minor."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name not in ("fmt", "every_minor")}
 
 
 @dataclass
@@ -191,8 +192,12 @@ def emit_report(report: Report, fmt: str) -> str:
     return "\n".join(lines)
 
 
-def _bound(spec: AlgebraSpecFile, flags: Flags) -> int:
-    return flags.max_deg if flags.max_deg is not None else 2 * spec.n + 2
+def _bound(spec: AlgebraSpecFile, flags: Flags, least: int = 2) -> int:
+    """The completeness bound, `--max-deg` or 2n + 2; one below `least`, the smallest the command can use, is an error."""
+    bound = flags.max_deg if flags.max_deg is not None else 2 * spec.n + 2
+    if bound < least:
+        raise ValueError(f"--max-deg {bound}: max_degree must be >= {least}")
+    return bound
 
 
 def _build(spec: AlgebraSpecFile) -> CliffordPresentation:
@@ -420,7 +425,7 @@ def _handle_normal_locus(spec, flags):
     # at 4 is the same through 4 as one truncated higher
     gb = pres.groebner(min(_bound(spec, flags), 4))
     y_nfs = pres.y_normal_forms(gb)
-    report = analyze.normal_locus_in_span(gb, y_nfs, y_nfs, grid)
+    report = analyze.normal_locus_in_span(gb, y_nfs, y_nfs, grid, every_minor=flags.every_minor)
     evidence = {
         "parameters": list(report.variables),
         "grid_radius": flags.grid,
@@ -443,7 +448,7 @@ def _handle_normal_locus(spec, flags):
 
 
 def _handle_verify_theorem(spec, flags):
-    through = _bound(spec, flags)
+    through = _bound(spec, flags, least=4)  # the checks involve degree-4 products
     if spec.kind == "gca":
         tau = _tau_for(spec, flags)
         report = analyze.verify_twist_theorem([m.entries for m in spec.forms], tau, through)
@@ -534,6 +539,11 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--algebra", choices=("gsca", "skew", "quotient"), default=None)
     parser.add_argument("--side", choices=("ambient", "y"), default="ambient")
     parser.add_argument("--inverse", action="store_true", help="twist by the inverse automorphism")
+    parser.add_argument(
+        "--every-minor",
+        action="store_true",
+        help="normal-locus: list every nonzero maximal minor, not only the certificates of the grid points",
+    )
     return parser
 
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 import time
@@ -401,7 +402,7 @@ class TestNormalLocus:
                 monkeypatch.setattr(module, "degree_basis", lambda *a, _f=original: calls.append(a) or _f(*a))
         _, _, pres, gb = ex21
         y = pres.y_normal_forms(gb)
-        report = normal_locus_in_span(gb, y, y, default_grid(3, 1))
+        report = normal_locus_in_span(gb, y, y, default_grid(3, 1), every_minor=True)
         assert calls == []
         assert len(report.minors) == 308
 
@@ -564,10 +565,10 @@ class TestLocusColumnTest:
             try:
                 if side_kind == "zero":
                     with pytest.raises(ValueError, match="side basis elements must be nonzero"):
-                        normal_locus_in_span(gb, y, side, grid)
+                        normal_locus_in_span(gb, y, side, grid, every_minor=True)
                     report = None
                 else:
-                    report = normal_locus_in_span(gb, y, side, grid)
+                    report = normal_locus_in_span(gb, y, side, grid, every_minor=True)
             finally:
                 monkeypatch.undo()
             assert len(calls) == expanded
@@ -605,9 +606,75 @@ class TestLocusColumnTest:
                                 det = leibniz_det(rsub, m)
                                 if det:
                                     expected.append((name, g, det))
-                        report = normal_locus_in_span(gb, gens, x, default_grid(m, 1))
+                        report = normal_locus_in_span(gb, gens, x, default_grid(m, 1), every_minor=True)
                         assert [(r.side, r.g_index, r.poly.terms) for r in report.minors] == expected
         assert extra_rows
+
+
+class TestLocusCertificateMinors:
+    """The default minor list, built on demand, against the exhaustive one (`every_minor=True`)."""
+
+    def test_certificates_agree_with_the_exhaustive_list(self):
+        seen = set()
+
+        # mu entries +-1 leave points where a is not normal and every minor
+        # vanishes (see TestLocusPointVerdicts); these draws reach them
+        signs = (1, -1, 1, -1, 2, Fraction(1, 2))
+        half = [Fraction(1, 2), Fraction(-1), Fraction(1)]
+
+        @settings(max_examples=30)
+        @given(
+            st.integers(2, 3),
+            st.integers(0, 60),
+            st.sampled_from([(1, -1, 2, Fraction(1, 2), 3), signs]),
+            st.sampled_from(["y", "x"]),
+            st.lists(st.fractions(-3, 3, max_denominator=4), min_size=3, max_size=3),
+        )
+        @example(2, 30, signs, "y", half)
+        @example(3, 53, signs, "y", half)
+        def check(n, seed, mu_values, side_kind, extra):
+            # one grid point off the integers, after the radius-1 grid
+            assume(any(v.denominator > 1 for v in extra[:n]))
+            pres = seeded_gsca(seed, n, mu_values)
+            gb = pres.groebner(4)
+            y = pres.y_normal_forms(gb)
+            side = y if side_kind == "y" else [NcPoly.generator(i) for i in range(n)]
+            grid = default_grid(n, 1) + [tuple(extra[:n])]
+            default = normal_locus_in_span(gb, y, side, grid)
+            every = normal_locus_in_span(gb, y, side, grid, every_minor=True)
+            assert [p.point for p in default.points] == [p.point for p in every.points]
+            assert [p.normal for p in default.points] == [p.normal for p in every.points]
+            assert [p.certificate is None for p in default.points] == [p.certificate is None for p in every.points]
+            exhaustive = [(r.side, r.g_index, r.poly) for r in every.minors]
+            assert all((r.side, r.g_index, r.poly) in exhaustive for r in default.minors)
+            for p in default.points:
+                nonzero = [idx for idx, r in enumerate(default.minors) if r.poly.evaluate(p.point)]
+                assert p.certificate == (nonzero[0] if nonzero else None), p.point
+            assert {p.certificate for p in default.points} - {None} == set(range(len(default.minors)))
+            if default.minors:
+                seen.add("listed")
+            if any(not p.normal and p.certificate is None for p in default.points):
+                seen.add("not normal without a certificate")
+            if not default.points[-1].normal:
+                seen.add("off-integer point not normal")
+
+        check()
+        assert seen == {"listed", "not normal without a certificate", "off-integer point not normal"}
+
+    @pytest.mark.parametrize(("name", "count", "every"), [("example21.json", 4, 308), ("qplane3.json", 2, 50)])
+    def test_fixture_minor_counts(self, name, count, every, monkeypatch, capsys):
+        """One parametric_minors call per listed minor by default; the exhaustive count behind --every-minor."""
+        path = str(resources.files("skewclifford").joinpath(f"fixtures/{name}"))
+        calls = []
+        original = analyze_module.parametric_minors
+        monkeypatch.setattr(analyze_module, "parametric_minors", lambda *a: calls.append(1) or original(*a))
+        counts = []
+        for flags in ([], ["--every-minor"]):
+            assert main(["normal-locus", path, "--grid", "1", "--format", "json", *flags]) == 0
+            counts.append(json.loads(capsys.readouterr().out)["evidence"]["minor_count"])
+            if not flags:
+                assert len(calls) == count
+        assert counts == [count, every]
 
 
 class TestRElements:

@@ -390,7 +390,7 @@ def report_digest(argv, capsys, code=0):
     return hashlib.sha256(json.dumps(report, sort_keys=True).encode("utf-8")).hexdigest()[:16]
 
 
-# report_digest of each fixture's normal-locus report: the reports must not drift
+# report_digest of each fixture's normal-locus --every-minor report: the reports must not drift
 LOCUS_DIGESTS = {
     ("diag2.json", 1): "bcd648c43fcc8220",
     ("diag2.json", 2): "7b6e0e51528a90dd",
@@ -405,8 +405,29 @@ LOCUS_DIGESTS = {
 
 @pytest.mark.parametrize(("name", "radius"), sorted(LOCUS_DIGESTS))
 def test_normal_locus_report_digest(name, radius, capsys):
-    digest = report_digest(["normal-locus", fixture_path(name), "--grid", str(radius)], capsys)
+    digest = report_digest(["normal-locus", fixture_path(name), "--grid", str(radius), "--every-minor"], capsys)
     assert digest == LOCUS_DIGESTS[(name, radius)]
+
+
+# report_digest of each fixture's default normal-locus report, which lists
+# only the certificate minors: the same points and verdicts as LOCUS_DIGESTS
+# (a central span lists no minor either way, so diag2 and diag3 agree)
+LOCUS_CERTIFICATE_DIGESTS = {
+    ("diag2.json", 1): "bcd648c43fcc8220",
+    ("diag2.json", 2): "7b6e0e51528a90dd",
+    ("diag3.json", 1): "3a9c2a6fe74ce564",
+    ("diag3.json", 2): "fa082d5b7459752f",
+    ("example21.json", 1): "3472a902706eea8e",
+    ("example21.json", 2): "00807f2a59fdf92b",
+    ("qplane3.json", 1): "cbdea878c97159cb",
+    ("qplane3.json", 2): "bb26f2ee6e923db0",
+}
+
+
+@pytest.mark.parametrize(("name", "radius"), sorted(LOCUS_CERTIFICATE_DIGESTS))
+def test_normal_locus_certificate_report_digest(name, radius, capsys):
+    digest = report_digest(["normal-locus", fixture_path(name), "--grid", str(radius)], capsys)
+    assert digest == LOCUS_CERTIFICATE_DIGESTS[(name, radius)]
 
 
 # report_digest of each fixture's quotient dim, gb and hilbert reports
@@ -702,6 +723,8 @@ class TestQuadricCommands:
 
 
 def test_every_flag_but_the_format_enters_the_digest():
+    # --every-minor is left out too: it changes how many minors a locus
+    # report lists, never a verdict or a point
     spec = parse_spec(fixture_path("diag2.json"))
     changed = {
         "max_deg": 7,
@@ -712,11 +735,12 @@ def test_every_flag_but_the_format_enters_the_digest():
         "poly": "x1",
         "side": "y",
         "inverse": True,
+        "every_minor": True,
     }
     base = dispatch("twist-check", spec, Flags()).digest
     for f in dataclasses.fields(Flags):
         digest = dispatch("twist-check", spec, Flags(**{f.name: changed[f.name]})).digest
-        assert (digest == base) == (f.name == "fmt"), f.name
+        assert (digest == base) == (f.name in ("fmt", "every_minor")), f.name
 
 
 def test_quotient_gb_report_is_independent_of_the_hash_seed(tmp_path):
@@ -741,7 +765,7 @@ def test_quotient_gb_report_is_independent_of_the_hash_seed(tmp_path):
         (str(path), ["regular"], 1),
         (str(path), ["normal", "x1", "--side", "ambient"], 0),
         (str(path), ["central", "x1"], 1),
-        (fixture_path("example21.json"), ["normal-locus", "--grid", "1"], 0),
+        (fixture_path("example21.json"), ["normal-locus", "--grid", "1", "--every-minor"], 0),
         (fixture_path("diag2.json"), ["verify-theorem"], 0),
     )
     for spec_path, command, code in runs:
@@ -808,6 +832,32 @@ class TestBpfWarning:
         assert "max_degree must be >= 2" in capsys.readouterr().err
 
 
+# every command that reads --max-deg, its polynomial argument, and the least bound it can use
+BOUND_READERS = [
+    ("gb", [], 2),
+    ("nf", ["x1"], 2),
+    ("hilbert", [], 2),
+    ("dim", [], 2),
+    ("bpf", [], 2),
+    ("normalizing", [], 2),
+    ("regular", [], 2),
+    ("normal", ["x1"], 2),
+    ("central", ["x1"], 2),
+    ("normal-locus", ["--grid", "1"], 2),
+    ("verify-theorem", [], 4),
+]
+
+
+@pytest.mark.parametrize(("command", "extra", "least"), BOUND_READERS)
+@pytest.mark.parametrize("name", ["example21.json", "diag2.json"])
+def test_a_bound_below_the_least_names_the_flag(command, extra, least, name, capsys):
+    # example21's mu is not of twist type, so verify-theorem there used to
+    # reject it by the criterion (exit 1) before it read the bound
+    for bound in sorted({1, least - 1}):
+        assert main([command, fixture_path(name), *extra, "--max-deg", str(bound)]) == 2
+        assert capsys.readouterr().err == f"error: --max-deg {bound}: max_degree must be >= {least}\n"
+
+
 def locus_report(argv, capsys):
     assert main(["normal-locus", *argv, "--format", "json"]) == 0
     return json.loads(capsys.readouterr().out)
@@ -862,7 +912,7 @@ class TestNormalLocusWork:
 
     def test_worked_example_still_expands_minors(self, monkeypatch, capsys):
         counts = self.counted(monkeypatch)
-        evidence = locus_report([fixture_path("example21.json"), "--grid", "1"], capsys)["evidence"]
+        evidence = locus_report([fixture_path("example21.json"), "--grid", "1", "--every-minor"], capsys)["evidence"]
         assert counts["minors"] > 0
         # the 3 + 3 span and side elements and the 3 x 3 products side[h] * y_k,
         # whose transposes are the products y_k * side[h]
